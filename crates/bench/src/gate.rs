@@ -9,7 +9,7 @@
 //! a single-iteration timing is noise, so its rows report `skip (smoke)` instead of a
 //! ratio.
 //!
-//! The vendored serde has no deserializer backend, so this module carries a minimal
+//! The workspace builds offline with no serialization crate, so this module carries a minimal
 //! recursive-descent JSON parser — enough for the harness's own output format (and any
 //! well-formed JSON; it is not a validator of exotic corner cases).
 

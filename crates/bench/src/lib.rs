@@ -27,6 +27,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use imars_serve::telemetry::escape;
+
 pub mod gate;
 
 pub use std::hint::black_box;
@@ -249,10 +251,6 @@ impl Harness {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,5 +303,12 @@ mod tests {
     #[test]
     fn escape_handles_quotes_and_backslashes() {
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        // A name carrying a newline or tab must still write valid JSON.
+        assert_eq!(escape("line1\nline2\tend"), "line1\\nline2\\tend");
+        let mut harness = Harness::new("suite\nname", true);
+        harness.metric("tab\tmetric", 1.0, "x");
+        let json = harness.to_json();
+        assert!(json.contains("suite\\nname") && json.contains("tab\\tmetric"));
+        assert!(!json.contains("suite\nname") && !json.contains("tab\tmetric"));
     }
 }

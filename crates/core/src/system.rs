@@ -17,6 +17,7 @@ use std::path::PathBuf;
 
 use imars_fabric::Cost;
 use imars_gpu::GpuCost;
+use imars_serve::telemetry::escape;
 
 /// A configuration value: numeric axes (array size, radius, ...) or discrete labels
 /// (workload names, placement policies).
@@ -233,24 +234,6 @@ pub fn format_number(value: f64) -> String {
     } else {
         format!("{value:e}")
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One axis of a design-space sweep.

@@ -10,13 +10,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
 
 use crate::error::DeviceError;
 use crate::technology::TechnologyParams;
 
 /// Result of a Monte-Carlo evaluation of threshold-match robustness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchErrorRate {
     /// Probability that a row whose true mismatch count is exactly at the threshold is
     /// incorrectly rejected (false negative).
@@ -29,7 +28,7 @@ pub struct SearchErrorRate {
 }
 
 /// Monte-Carlo model of per-cell current variation in the TCAM search path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationModel {
     tech: TechnologyParams,
     /// Relative (1-sigma) variation of the per-cell mismatch current.

@@ -17,8 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use imars_device::characterization::ArrayFom;
 
 use crate::accumulator::GpcimAccumulator;
@@ -88,7 +86,7 @@ pub fn saturating_accumulate_packed(acc: &mut [u64], row: &[u64]) {
 /// Pooling over a `PackedTable` runs the same [`saturating_add_packed_i8`] kernel the
 /// functional CMA simulator uses, so the two produce bit-identical int8 sums; it serves
 /// as the int8 software baseline in the benchmark suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PackedTable {
     rows: usize,
     dim: usize,
@@ -238,14 +236,14 @@ pub fn hamming_distance(a: &[u64], b: &[u64]) -> u32 {
 }
 
 /// One stored row: the packed bits plus how many of them are valid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct StoredRow {
     bits: Vec<u64>,
     valid_bits: usize,
 }
 
 /// A single configurable memory array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CmaArray {
     rows: usize,
     cols: usize,

@@ -7,13 +7,12 @@
 //!   operated in RAM mode (row read/write), TCAM mode (threshold Hamming search) and
 //!   GPCiM mode (in-memory row accumulation), with every operation charged the
 //!   corresponding array-level figure of merit;
-//! * [`mat::Mat`] and [`bank::CmaBank`] — the two-level hierarchy (C CMAs per mat, M mats
-//!   per bank) with the intra-mat and intra-bank adder trees and the serialized IBC
-//!   network between them;
+//! * [`accumulator::GpcimAccumulator`] — the GPCiM row accumulation with its adder-tree
+//!   charge;
 //! * [`crossbar::CrossbarBank`] — the crossbar arrays executing the fully connected DNN
 //!   layers;
-//! * [`interconnect`] and [`controller`] — the RSC bus, IBC network and the counter-based
-//!   controller that orders mat outputs into groups matching the intra-bank adder fan-in;
+//! * [`interconnect`] — the RSC bus and IBC network that cross-bank traffic is charged
+//!   against;
 //! * [`cost`] — energy/latency accounting shared by every component.
 //!
 //! Functional behaviour and cost accounting are deliberately coupled: the same call that
@@ -36,19 +35,15 @@
 //! ```
 
 pub mod accumulator;
-pub mod bank;
 pub mod cma;
 pub mod config;
-pub mod controller;
 pub mod cost;
 pub mod crossbar;
 pub mod error;
 pub mod interconnect;
-pub mod mat;
 pub mod simd;
 
 pub use accumulator::GpcimAccumulator;
-pub use bank::CmaBank;
 pub use cma::{CmaArray, PackedTable};
 pub use config::FabricConfig;
 pub use cost::{Cost, CostBreakdown, CostComponent, Outcome};

@@ -5,13 +5,11 @@
 //! stack; sparse features index embedding tables (one table per field) and may be
 //! single-valued (e.g. user occupation) or multi-hot (e.g. watch history, movie genres).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::RecsysError;
 
 /// Description of one sparse feature field: its name, vocabulary size and whether it is
 /// multi-hot.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SparseFieldSpec {
     /// Human-readable field name (e.g. `"movie_id"`).
     pub name: String,
@@ -42,7 +40,7 @@ impl SparseFieldSpec {
 }
 
 /// Dense (continuous) features of one sample.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DenseFeatures {
     /// Feature values, already normalized to a comparable range.
     pub values: Vec<f32>,
@@ -66,7 +64,7 @@ impl DenseFeatures {
 }
 
 /// Sparse (categorical) features of one sample: per field, the list of active indices.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseFeatures {
     /// `fields[f]` holds the active value indices of sparse field `f`.
     pub fields: Vec<Vec<usize>>,

@@ -8,12 +8,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::error::RecsysError;
 
 /// Activation applied to a layer's output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Identity (no activation).
     Linear,
@@ -63,7 +62,7 @@ fn dot_blocked(w: &[f32], x: &[f32]) -> f32 {
 }
 
 /// One dense layer: `outputs = activation(W x + b)` with `W` of shape `out × in`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct DenseLayer {
     inputs: usize,
     outputs: usize,
@@ -150,7 +149,7 @@ impl DenseLayer {
 }
 
 /// A multi-layer perceptron.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<DenseLayer>,
 }

@@ -12,12 +12,10 @@
 //! traffic trace, which keeps batching decisions deterministic and testable — no
 //! wall-clock flakiness in the flush tests.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::ServeError;
 
 /// The coalescing policy: flush on size or on deadline, whichever comes first.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Maximum requests per batch (size flush threshold).
     pub max_batch: usize,
@@ -53,7 +51,7 @@ impl BatchPolicy {
 }
 
 /// Why a batch was flushed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
     /// The batch reached `max_batch` requests.
     Size,

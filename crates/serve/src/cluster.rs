@@ -28,24 +28,27 @@
 //! controller overhead ([`RscBus::hop`]) — and the byte/hop/fan-out counters land in
 //! [`ClusterStats`] next to the modeled GPCiM energy.
 //!
-//! Failure is not silent: a panicking shard worker closes its input queue, drains the
-//! sub-requests it strands and closes their reply queues, so routers surface
-//! [`ServeError::ShardFailed`] instead of deadlocking, and queue overflow is counted
-//! per shard before the router falls back to a blocking push.
+//! There is one fetch path. Every dispatch of a shard's slice is an *attempt* with its
+//! own tag, and one gather loop collects the replies under the router's policy:
 //!
-//! With a [`ResilienceConfig`] (or a socket transport), failure graduates from an error
-//! path to a survivable scenario. The router then runs a deadline-driven gather:
-//! sub-requests carry per-attempt tags, a silent shard **times out** against the
-//! injected [`Clock`], timed-out work is **retried** with backoff, slow primaries are
-//! **hedged** onto a replica-holding shard once `hedge_after_us` elapses, and when a
-//! shard is dead its hot rows are **promoted** — the frequency-placement replicas
-//! ([`ShardPlan::is_replicated`]) serve them from any healthy shard — while cold rows
-//! degrade gracefully to zero-filled lookups recorded as *missing*. Every decision is
-//! counted (`timeouts`/`retries`/`hedges`/`hedge_wins`/`promotions`/`missing_rows` in
-//! [`ClusterStats`]), so a chaos replay can account for every degraded query. Shards
-//! still move rows, never partial sums, so any query untouched by missing rows stays
-//! bit-identical to the healthy run. The strict queue path (no resilience, in-process
-//! links) remains byte-for-byte the deterministic oracle.
+//! * With a [`ResilienceConfig`] (always, for a socket transport) failure is a
+//!   survivable scenario. A silent shard **times out** against the injected [`Clock`],
+//!   timed-out work is **retried** with backoff, slow primaries are **hedged** onto a
+//!   replica-holding shard once `hedge_after_us` elapses, and when a shard is dead its
+//!   hot rows are **promoted** — the frequency-placement replicas
+//!   ([`ShardPlan::is_replicated`]) serve them from any healthy shard — while cold rows
+//!   degrade gracefully to zero-filled lookups recorded as *missing*. Every decision is
+//!   counted (`timeouts`/`retries`/`hedges`/`hedge_wins`/`promotions`/`missing_rows` in
+//!   [`ClusterStats`]), so a chaos replay can account for every degraded query.
+//! * Without one, in-process links run the strict policy: no deadline, no retries, no
+//!   hedging. A dispatch to a full shard queue counts the rejection and then blocks
+//!   (backpressure, not data loss), and a slice no shard can serve fails the fetch with
+//!   [`ServeError::ShardFailed`] instead of degrading.
+//!
+//! Failure is never a deadlock: a panicking shard worker closes its input queue, and
+//! the gather loop sees the closed queue and gives up on that shard's attempts. Shards
+//! move rows, never partial sums, so any query untouched by missing rows stays
+//! bit-identical to the healthy run under either policy.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -87,10 +90,10 @@ pub struct ClusterConfig {
     pub hot_replicas: usize,
     /// RSC-bus parameters the cross-shard hops are charged against.
     pub interconnect: InterconnectParams,
-    /// Fault-tolerance policy. `None` keeps the strict fail-fast path (the bit-identity
-    /// oracle); `Some` arms timeouts, retries, hedging and replica promotion. A socket
-    /// transport always runs the resilient path, with [`ResilienceConfig::default`]
-    /// when this is `None`.
+    /// Fault-tolerance policy. `None` runs the strict policy on in-process links (no
+    /// deadline, no retries, a lost shard fails the fetch); `Some` arms timeouts,
+    /// retries, hedging and replica promotion. A socket transport always runs with a
+    /// policy, [`ResilienceConfig::default`] when this is `None`.
     pub resilience: Option<ResilienceConfig>,
 }
 
@@ -217,7 +220,7 @@ impl ClusterConfig {
     }
 }
 
-/// Real-time slice of one resilient gather poll: short enough that injected-clock
+/// Real-time slice of one gather poll: short enough that injected-clock
 /// deadlines are rechecked promptly, long enough not to spin.
 const GATHER_POLL: Duration = Duration::from_micros(500);
 
@@ -267,7 +270,8 @@ impl<T: Lane> ShardStorage<T> {
 
     /// The resident view of `row`. Panics if the row does not live on this shard — the
     /// router only sends rows the plan assigns here, so a violation is a routing bug
-    /// and must fail the node (the panic guard turns it into [`ServeError::ShardFailed`]).
+    /// and must fail the node (the panic guard closes its queue, a lost shard to the
+    /// router).
     fn row(&self, row: u32) -> &[T] {
         assert!(
             self.is_resident(row),
@@ -291,8 +295,8 @@ pub(crate) struct TraceContext {
 /// A row-fetch sub-request routed to one shard.
 #[derive(Debug)]
 pub(crate) struct SubRequest<T> {
-    /// The issuing fetch's tag; responses echo it so a router can discard stragglers
-    /// from an earlier, aborted fetch.
+    /// The attempt's tag; responses echo it so the router can match each reply to
+    /// its attempt and discard stragglers of expired ones.
     tag: u64,
     /// Global row ids to fetch, in the split's canonical order.
     rows: Vec<u32>,
@@ -301,10 +305,6 @@ pub(crate) struct SubRequest<T> {
     /// Test hook: a poisoned sub-request makes the serving worker panic, exercising the
     /// failure path deterministically.
     poison: bool,
-    /// Strict-path requests fail fast: a worker panic closes their reply queue so the
-    /// router surfaces [`ServeError::ShardFailed`]. Resilient requests keep their reply
-    /// queue open — the router recovers through its own timeout/retry machinery.
-    fail_fast: bool,
     /// `Some` when the router's trace sink is armed: the worker records a node span.
     trace: Option<TraceContext>,
 }
@@ -346,7 +346,7 @@ pub(crate) struct ClusterCounters {
     cross_bytes: AtomicU64,
     /// Bytes served home-locally (no bus charge).
     local_bytes: AtomicU64,
-    /// Sub-request attempts that blew their deadline (resilient path).
+    /// Sub-request attempts that blew their deadline.
     timeouts: AtomicU64,
     /// Re-dispatches of timed-out or failed sub-requests.
     retries: AtomicU64,
@@ -440,11 +440,13 @@ impl ClusterCounters {
         }
     }
 
-    /// Zero the node-cache counters only (the engine's cache-stats reset).
-    pub(crate) fn reset_node_cache(&self) {
+    pub(crate) fn reset(&self) {
         for counter in self
-            .cache_hits
+            .served
             .iter()
+            .chain(&self.rejections)
+            .chain(&self.depth_max)
+            .chain(&self.cache_hits)
             .chain(&self.cache_misses)
             .chain(&self.cache_insertions)
             .chain(&self.cache_evictions)
@@ -452,18 +454,6 @@ impl ClusterCounters {
         {
             counter.store(0, Ordering::Relaxed);
         }
-    }
-
-    pub(crate) fn reset(&self) {
-        for counter in self
-            .served
-            .iter()
-            .chain(&self.rejections)
-            .chain(&self.depth_max)
-        {
-            counter.store(0, Ordering::Relaxed);
-        }
-        self.reset_node_cache();
         self.fetches.store(0, Ordering::Relaxed);
         self.subrequests.store(0, Ordering::Relaxed);
         self.hops.store(0, Ordering::Relaxed);
@@ -507,16 +497,12 @@ impl ClusterCounters {
     }
 }
 
-/// Closes the failing shard's input queue and unblocks every stranded router when a
-/// worker unwinds: the in-flight sub-request's reply queue closes, then the queued
-/// sub-requests this node can no longer serve are drained and their reply queues closed
-/// too. A shard panic must fail its routed batches, never deadlock them.
+/// Closes the failing shard's input queue when a worker unwinds and drops the
+/// sub-requests it strands. Routers see the closed queue ([`ShardLink::is_down`]) and
+/// give up on the shard's attempts: a shard panic must fail or degrade its routed
+/// batches, never deadlock them.
 struct ShardPanicGuard<'a, T> {
     input: &'a BoundedQueue<SubRequest<T>>,
-    reply: Arc<BoundedQueue<SubResponse<T>>>,
-    /// Whether the in-flight request wanted its reply queue closed on failure.
-    /// Resilient routers keep theirs open and recover via timeouts instead.
-    fail_fast: bool,
 }
 
 impl<T> Drop for ShardPanicGuard<'_, T> {
@@ -524,16 +510,9 @@ impl<T> Drop for ShardPanicGuard<'_, T> {
         if !std::thread::panicking() {
             return;
         }
-        if self.fail_fast {
-            self.reply.close();
-        }
         self.input.close();
         // The queue is closed, so this drains the backlog and terminates.
-        while let Pop::Item(stranded) = self.input.pop() {
-            if stranded.fail_fast {
-                stranded.reply.close();
-            }
-        }
+        while let Pop::Item(_) = self.input.pop() {}
     }
 }
 
@@ -560,11 +539,7 @@ fn run_shard_worker<T: Lane>(
             Pop::Closed => return,
             Pop::TimedOut => continue,
         };
-        let _guard = ShardPanicGuard {
-            input: &input,
-            reply: request.reply.clone(),
-            fail_fast: request.fail_fast,
-        };
+        let _guard = ShardPanicGuard { input: &input };
         match chaos
             .as_deref()
             .map_or(FaultAction::None, |plan| plan.action(shard))
@@ -590,71 +565,84 @@ fn run_shard_worker<T: Lane>(
         );
         // A traced request carries the tracer's clock: the worker measures its own
         // server-side span on it (queue wait so far, then cache probe and storage
-        // read below). On a frozen manual clock every duration is exactly zero, so
-        // traced replays stay byte-deterministic across worker counts.
-        let mut node_span = request.trace.as_ref().map(|context| {
-            (
-                context.clock.clone(),
-                NodeSpan {
-                    queue_wait_us: (context.clock.now_us() - context.enqueued_us).max(0.0),
-                    ..NodeSpan::default()
-                },
-            )
+        // read). On a frozen manual clock every duration is exactly zero, so traced
+        // replays stay byte-deterministic across worker counts.
+        let mut span = NodeSpan::default();
+        let clock = request.trace.as_ref().map(|context| {
+            span.queue_wait_us = (context.clock.now_us() - context.enqueued_us).max(0.0);
+            &*context.clock
         });
         let mut data = Vec::with_capacity(request.rows.len() * storage.dim());
-        match &cache {
-            None => {
-                let read_started = node_span.as_ref().map(|(clock, _)| clock.now_us());
-                for &row in &request.rows {
-                    data.extend_from_slice(storage.row(row));
-                }
-                if let (Some((clock, span)), Some(started)) = (node_span.as_mut(), read_started) {
-                    span.storage_read_us = (clock.now_us() - started).max(0.0);
-                }
-            }
-            Some(cache) => {
-                let mut cache = cache.lock().expect("node cache lock");
-                let before = cache.stats();
-                for &row in &request.rows {
-                    let probe_started = node_span.as_ref().map(|(clock, _)| clock.now_us());
-                    let hit = match cache.lookup(row) {
-                        Some(resident) => {
-                            data.extend_from_slice(resident);
-                            true
-                        }
-                        None => false,
-                    };
-                    if let (Some((clock, span)), Some(started)) =
-                        (node_span.as_mut(), probe_started)
-                    {
-                        span.cache_probe_us += (clock.now_us() - started).max(0.0);
-                    }
-                    if !hit {
-                        let read_started = node_span.as_ref().map(|(clock, _)| clock.now_us());
-                        let fetched = storage.row(row);
-                        data.extend_from_slice(fetched);
-                        cache.insert(row, fetched);
-                        if let (Some((clock, span)), Some(started)) =
-                            (node_span.as_mut(), read_started)
-                        {
-                            span.storage_read_us += (clock.now_us() - started).max(0.0);
-                        }
-                    }
-                }
-                let delta = cache.stats().delta_since(&before);
-                counters.record_node_cache(shard, &delta);
-            }
+        let mut cache = cache
+            .as_deref()
+            .map(|cache| cache.lock().expect("node cache lock"));
+        let delta = read_rows(
+            request.rows.iter().copied(),
+            cache.as_deref_mut(),
+            |row| Some(storage.row(row)),
+            clock,
+            &mut span,
+            &mut data,
+        )
+        .expect("storage.row panics on a non-resident row");
+        drop(cache);
+        if let Some(delta) = delta {
+            counters.record_node_cache(shard, &delta);
         }
         counters.served[shard].fetch_add(request.rows.len() as u64, Ordering::Relaxed);
-        // A closed reply queue means the router gave up (a sibling shard failed);
-        // dropping the response is correct — the router already surfaced an error.
+        // A closed reply queue means the router is gone; dropping the response is
+        // correct.
         let _ = request.reply.push(SubResponse {
             tag: request.tag,
             shard,
             data,
-            node_span: node_span.map(|(_, span)| span),
+            node_span: request.trace.is_some().then_some(span),
         });
     }
+}
+
+/// Serve `rows` into `out` the way a shard node does, in-process or behind a socket:
+/// through the node `cache` when there is one — a hit copies the cached row, a miss
+/// reads `storage` and admits the row per the cache's policy — else straight from
+/// `storage`. With a `clock` (a traced fetch) the cache-probe and storage-read times
+/// land in `span`. Returns the fetch's node-cache counter delta (`None` without a
+/// cache), or the first row `storage` does not hold.
+pub(crate) fn read_rows<'a, T: Copy + Default + 'a>(
+    rows: impl IntoIterator<Item = u32>,
+    mut cache: Option<&mut HotRowCache<T>>,
+    storage: impl Fn(u32) -> Option<&'a [T]>,
+    clock: Option<&dyn Clock>,
+    span: &mut NodeSpan,
+    out: &mut Vec<T>,
+) -> Result<Option<CacheStats>, u32> {
+    let before = cache.as_deref().map(HotRowCache::stats);
+    let now = || clock.map(Clock::now_us);
+    let elapsed = |started: Option<f64>| match (now(), started) {
+        (Some(now), Some(started)) => (now - started).max(0.0),
+        _ => 0.0,
+    };
+    for row in rows {
+        if let Some(cache) = cache.as_deref_mut() {
+            let probe_started = now();
+            let hit = cache
+                .lookup(row)
+                .map(|resident| out.extend_from_slice(resident));
+            span.cache_probe_us += elapsed(probe_started);
+            if hit.is_some() {
+                continue;
+            }
+        }
+        let read_started = now();
+        let fetched = storage(row).ok_or(row)?;
+        out.extend_from_slice(fetched);
+        if let Some(cache) = cache.as_deref_mut() {
+            cache.insert(row, fetched);
+        }
+        span.storage_read_us += elapsed(read_started);
+    }
+    Ok(before
+        .zip(cache.as_deref())
+        .map(|(before, cache)| cache.stats().delta_since(&before)))
 }
 
 /// The owner of the shard node threads. Keep it alive while any [`ClusterClient`] (or
@@ -715,7 +703,7 @@ impl Drop for ClusterHandle {
 
 /// The router's channel to one shard node: an in-process bounded queue, or a socket
 /// link to a shard-node process ([`crate::transport`]). Both give the router the same
-/// three verbs — non-blocking send, deadline send, closed? — so the resilient fetch
+/// three verbs — non-blocking send, deadline send, closed? — so the fetch
 /// path is transport-agnostic.
 pub(crate) enum ShardLink<T> {
     Queue(Arc<BoundedQueue<SubRequest<T>>>),
@@ -751,7 +739,16 @@ enum DispatchFail {
     Timeout,
 }
 
-/// In-flight bookkeeping for one dispatched attempt of a resilient sub-request.
+impl<T> From<PushError<T>> for DispatchFail {
+    fn from(error: PushError<T>) -> Self {
+        match error {
+            PushError::Full(_) => DispatchFail::Timeout,
+            PushError::Closed(_) => DispatchFail::Closed,
+        }
+    }
+}
+
+/// In-flight bookkeeping for one dispatched attempt of a sub-request.
 #[derive(Debug)]
 struct Attempt {
     tag: u64,
@@ -759,7 +756,7 @@ struct Attempt {
     sent_us: f64,
 }
 
-/// One shard's slice of a resilient fetch, tracked until its rows are written (by a
+/// One shard's slice of a fetch, tracked until its rows are written (by a
 /// response) or degraded (zero-filled).
 #[derive(Debug)]
 struct FetchUnit {
@@ -810,9 +807,9 @@ pub struct ClusterClient<T> {
     pending_breakdown: CostBreakdown,
     next_tag: u64,
     poison_next: bool,
-    /// Fault-tolerance policy; `None` keeps the strict fail-fast path on queue links.
+    /// Fault-tolerance policy; `None` runs the strict policy ([`STRICT`]).
     resilience: Option<ResilienceConfig>,
-    /// Deadline source for the resilient path (injectable for deterministic tests).
+    /// Deadline source for the gather loop (injectable for deterministic tests).
     clock: Arc<dyn Clock>,
     /// Shards this router has concluded are dead (closed link, or
     /// [`DEAD_AFTER_STRIKES`] timeout strikes).
@@ -883,64 +880,43 @@ impl<T> Drop for ClusterClient<T> {
     }
 }
 
+/// The gather policy of a router without a [`ResilienceConfig`] over in-process
+/// queues: no deadline, no retries, no hedging, and a dispatch that blocks once the
+/// shard queue is full. Under it a unit no shard can serve fails the fetch with
+/// [`ServeError::ShardFailed`] instead of degrading.
+const STRICT: ResilienceConfig = ResilienceConfig {
+    request_timeout_us: f64::INFINITY,
+    hedge_after_us: f64::INFINITY,
+    max_retries: 0,
+    backoff_us: 0.0,
+};
+
+/// One fetch's state in the gather loop.
+struct Gather<'a, T> {
+    units: Vec<FetchUnit>,
+    /// Live attempt tags: `tag -> (unit index, whether the attempt is a hedge)`.
+    tags: HashMap<u64, (usize, bool)>,
+    /// Output chunks by flat position; each is taken exactly once, by a response or a
+    /// degrade.
+    chunks: Vec<Option<&'a mut [T]>>,
+    /// Cost of this fetch's cross-shard hops, which compose in parallel.
+    fanout_cost: Option<Cost>,
+    /// The split's home shard; sub-requests elsewhere pay an RSC-bus hop.
+    home: usize,
+    policy: ResilienceConfig,
+    /// Whether a unit no shard can serve degrades (`false` under [`STRICT`]).
+    degrade: bool,
+    /// How long a dispatch may wait on a full shard queue (`None` blocks).
+    push_wait: Option<Duration>,
+    /// The shard whose loss fails this fetch (strict policy only).
+    failed: Option<usize>,
+}
+
 impl<T: Lane> ClusterClient<T> {
-    /// The placement plan the router splits against.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// A snapshot of the shared cluster counters.
-    pub fn stats(&self) -> ClusterStats {
-        self.counters.snapshot()
-    }
-
-    pub(crate) fn counters(&self) -> Arc<ClusterCounters> {
-        self.counters.clone()
-    }
-
-    /// Drain the interconnect cost accumulated since the last call (the engine charges
-    /// it to its telemetry next to the GPCiM components).
-    pub(crate) fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
-        (
-            std::mem::take(&mut self.pending_cost),
-            std::mem::take(&mut self.pending_breakdown),
-        )
-    }
-
     /// Test hook: poison the next fetch's sub-requests so the serving workers panic.
     #[cfg(test)]
     fn poison_next_fetch(&mut self) {
         self.poison_next = true;
-    }
-
-    /// Wait out (and discard) the responses of this fetch's already-dispatched
-    /// sub-requests after an abort, so they cannot linger as in-flight stragglers. A
-    /// closed reply queue (a dispatched shard died) ends the wait — its workers' reply
-    /// pushes fail harmlessly from then on.
-    fn absorb_stragglers(&self, tag: u64, awaiting: &mut HashMap<usize, &[u32]>) {
-        while !awaiting.is_empty() {
-            match self.reply.pop() {
-                Pop::Item(response) => {
-                    if response.tag == tag {
-                        awaiting.remove(&response.shard);
-                    }
-                }
-                Pop::Closed => return,
-                Pop::TimedOut => continue,
-            }
-        }
-    }
-
-    /// Swap the deadline source (timeouts, backoff and hedging run off it). Tests use a
-    /// [`ManualClock`](crate::clock::ManualClock) to make the resilient path
-    /// deterministic.
-    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
-        self.clock = clock;
-    }
-
-    /// Arm (or disarm) the fault-tolerance policy on this router.
-    pub fn set_resilience(&mut self, resilience: Option<ResilienceConfig>) {
-        self.resilience = resilience;
     }
 
     /// Row ids zero-filled since the last call (the engine excludes them from the
@@ -984,34 +960,6 @@ impl<T: Lane> ClusterClient<T> {
         }
     }
 
-    fn push_subrequest(&self, shard: usize, request: SubRequest<T>) -> Result<(), ServeError> {
-        let ShardLink::Queue(input) = &self.links[shard] else {
-            unreachable!("the strict path only runs over in-process queue links")
-        };
-        let record_depth = |depth: usize| {
-            self.counters.depth_max[shard].fetch_max(depth as u64, Ordering::Relaxed);
-        };
-        match input.try_push(request) {
-            Ok(depth) => {
-                record_depth(depth);
-                Ok(())
-            }
-            Err(PushError::Full(request)) => {
-                // Overflow is counted per shard, then the router blocks: the shard
-                // queue bound is backpressure, not data loss.
-                self.counters.rejections[shard].fetch_add(1, Ordering::Relaxed);
-                match input.push(request) {
-                    Ok(depth) => {
-                        record_depth(depth);
-                        Ok(())
-                    }
-                    Err(_) => Err(ServeError::ShardFailed { shard }),
-                }
-            }
-            Err(PushError::Closed(_)) => Err(ServeError::ShardFailed { shard }),
-        }
-    }
-
     /// The first shard whose link is still up and that this router has not declared
     /// dead — preferring any shard other than `avoid`, falling back to `avoid` itself
     /// (a same-shard retry) when it is the only one left.
@@ -1023,126 +971,106 @@ impl<T: Lane> ClusterClient<T> {
             .or_else(|| Some(avoid).filter(alive))
     }
 
-    /// Send one attempt's sub-request down a link without committing to wait forever:
-    /// `try` first, then a deadline push so a wedged shard queue surfaces as
-    /// [`DispatchFail::Timeout`] instead of blocking the router.
+    /// Send one attempt's sub-request down a link: `try` first and count a full queue
+    /// as a rejection, then wait for room — up to `push_wait`, so a wedged shard queue
+    /// surfaces as [`DispatchFail::Timeout`], or as long as it takes when `push_wait`
+    /// is `None` (the strict policy's backpressure).
     fn dispatch_raw(
         &self,
         shard: usize,
         tag: u64,
         rows: &[u32],
-        push_wait: Duration,
+        push_wait: Option<Duration>,
     ) -> Result<(), DispatchFail> {
-        let record_depth = |depth: usize| {
-            self.counters.depth_max[shard].fetch_max(depth as u64, Ordering::Relaxed);
-        };
-        match &self.links[shard] {
+        let depth = match &self.links[shard] {
             ShardLink::Queue(input) => {
                 let request = SubRequest {
                     tag,
                     rows: rows.to_vec(),
                     reply: self.reply.clone(),
-                    poison: false,
-                    fail_fast: false,
+                    poison: self.poison_next,
                     trace: self.trace_context(),
                 };
                 match input.try_push(request) {
-                    Ok(depth) => {
-                        record_depth(depth);
-                        Ok(())
-                    }
                     Err(PushError::Full(request)) => {
                         self.counters.rejections[shard].fetch_add(1, Ordering::Relaxed);
-                        match input.push_timeout(request, push_wait) {
-                            Ok(depth) => {
-                                record_depth(depth);
-                                Ok(())
-                            }
-                            Err(PushError::Full(_)) => Err(DispatchFail::Timeout),
-                            Err(PushError::Closed(_)) => Err(DispatchFail::Closed),
+                        match push_wait {
+                            Some(wait) => input.push_timeout(request, wait),
+                            None => input.push(request),
                         }
                     }
-                    Err(PushError::Closed(_)) => Err(DispatchFail::Closed),
+                    sent => sent,
                 }
+                .map_err(DispatchFail::from)?
             }
             ShardLink::Socket(link) => {
-                // A remote node can't bump this process's counters, so its served-rows
-                // share (shard imbalance in the report) is accounted at dispatch.
-                let record_served = || {
-                    self.counters.served[shard].fetch_add(rows.len() as u64, Ordering::Relaxed);
-                };
                 let frame = transport::encode_fetch(shard as u32, tag, rows, self.trace.is_some());
-                match link.try_send(frame) {
-                    Ok(depth) => {
-                        record_depth(depth);
-                        record_served();
-                        Ok(())
-                    }
+                let depth = match link.try_send(frame) {
                     Err(PushError::Full(frame)) => {
                         self.counters.rejections[shard].fetch_add(1, Ordering::Relaxed);
-                        match link.send_timeout(frame, push_wait) {
-                            Ok(depth) => {
-                                record_depth(depth);
-                                record_served();
-                                Ok(())
-                            }
-                            Err(PushError::Full(_)) => Err(DispatchFail::Timeout),
-                            Err(PushError::Closed(_)) => Err(DispatchFail::Closed),
+                        match push_wait {
+                            Some(wait) => link.send_timeout(frame, wait),
+                            None => link.send_blocking(frame),
                         }
                     }
-                    Err(PushError::Closed(_)) => Err(DispatchFail::Closed),
+                    sent => sent,
                 }
+                .map_err(DispatchFail::from)?;
+                // A remote node can't bump this process's counters, so its served-rows
+                // share (shard imbalance in the report) is accounted at dispatch.
+                self.counters.served[shard].fetch_add(rows.len() as u64, Ordering::Relaxed);
+                depth
             }
-        }
+        };
+        self.counters.depth_max[shard].fetch_max(depth as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Dispatch unit `i` at `target`, charging traffic counters and the bus on success
     /// and registering the attempt's tag for the gather loop. On failure the target is
     /// marked dead (closed link) or struck (deadline), and the caller recovers.
-    #[allow(clippy::too_many_arguments)]
     fn dispatch_unit(
         &mut self,
-        units: &mut [FetchUnit],
-        tags: &mut HashMap<u64, (usize, bool)>,
-        fanout_cost: &mut Option<Cost>,
-        home: usize,
+        g: &mut Gather<'_, T>,
         i: usize,
         target: usize,
         hedge: bool,
-        push_wait: Duration,
     ) -> Result<(), DispatchFail> {
         let tag = self.next_tag;
         self.next_tag += 1;
-        units[i].dispatches += u32::from(!hedge);
-        units[i].last_target = target;
-        let outcome = self.dispatch_raw(target, tag, &units[i].rows, push_wait);
-        match outcome {
+        g.units[i].dispatches += u32::from(!hedge);
+        g.units[i].last_target = target;
+        match self.dispatch_raw(target, tag, &g.units[i].rows, g.push_wait) {
             Ok(()) => {
                 self.counters.subrequests.fetch_add(1, Ordering::Relaxed);
-                let response_bytes = units[i].rows.len() * self.dim * std::mem::size_of::<T>();
-                if target == home {
+                let rows = g.units[i].rows.len();
+                let response_bytes = rows * self.dim * std::mem::size_of::<T>();
+                if target == g.home {
                     self.counters
                         .local_bytes
                         .fetch_add(response_bytes as u64, Ordering::Relaxed);
                 } else {
-                    let request_bytes = units[i].rows.len() * std::mem::size_of::<u32>();
+                    let request_bytes = rows * std::mem::size_of::<u32>();
                     self.counters.hops.fetch_add(1, Ordering::Relaxed);
+                    // Row payload only, symmetric with `local_bytes`, so the cross-traffic
+                    // fraction compares like with like; the bus *charge* still covers the
+                    // index bytes of the sub-request.
                     self.counters
                         .cross_bytes
                         .fetch_add(response_bytes as u64, Ordering::Relaxed);
                     let hop = self.bus.hop(request_bytes, response_bytes);
                     self.pending_breakdown.merge(&hop.breakdown);
-                    *fanout_cost = Some(match fanout_cost.take() {
+                    g.fanout_cost = Some(match g.fanout_cost.take() {
                         None => hop.cost,
                         Some(cost) => cost.parallel(hop.cost),
                     });
                 }
-                units[i].attempts.push(Attempt {
+                g.units[i].attempts.push(Attempt {
                     tag,
                     shard: target,
                     sent_us: self.clock.now_us(),
                 });
-                tags.insert(tag, (i, hedge));
+                g.tags.insert(tag, (i, hedge));
                 let kind = if hedge {
                     FetchEventKind::Hedge
                 } else {
@@ -1177,12 +1105,18 @@ impl<T: Lane> ClusterClient<T> {
         }
     }
 
-    /// Give up on `rows[keep..]` of unit `i` — zero-fill their output chunks and record
-    /// them missing. `keep == 0` degrades (and finishes) the whole unit.
-    fn degrade_unit(&mut self, units: &mut [FetchUnit], chunks: &mut [Option<&mut [T]>], i: usize) {
-        let unit = &mut units[i];
+    /// Give up on unit `i`. A degrading policy zero-fills its rows and records them
+    /// missing; the strict policy fails the fetch, blaming the shard it last tried.
+    fn lose_unit(&mut self, g: &mut Gather<'_, T>, i: usize) {
+        let unit = &mut g.units[i];
+        unit.done = true;
+        unit.attempts.clear();
+        if !g.degrade {
+            g.failed.get_or_insert(unit.last_target);
+            return;
+        }
         for (&row, &position) in unit.rows.iter().zip(&unit.positions) {
-            let chunk = chunks[position as usize]
+            let chunk = g.chunks[position as usize]
                 .take()
                 .expect("each position is served exactly once");
             chunk.fill(T::default());
@@ -1191,59 +1125,43 @@ impl<T: Lane> ClusterClient<T> {
         self.counters
             .missing_rows
             .fetch_add(unit.rows.len() as u64, Ordering::Relaxed);
-        unit.done = true;
-        unit.attempts.clear();
         let origin = unit.origin;
         self.trace_event(FetchEventKind::Degrade, origin, 0);
     }
 
     /// A unit has no live attempts left: retry, promote onto a replica-holding shard,
-    /// schedule a backoff, or degrade — looping because a chosen target's dispatch can
-    /// itself fail immediately.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_unit(
-        &mut self,
-        units: &mut [FetchUnit],
-        tags: &mut HashMap<u64, (usize, bool)>,
-        chunks: &mut [Option<&mut [T]>],
-        fanout_cost: &mut Option<Cost>,
-        home: usize,
-        i: usize,
-        resilience: &ResilienceConfig,
-        push_wait: Duration,
-    ) {
+    /// schedule a backoff, or give up — looping because a chosen target's dispatch can
+    /// itself fail immediately. The strict policy gives up at once.
+    fn recover_unit(&mut self, g: &mut Gather<'_, T>, i: usize) {
         loop {
-            if units[i].done {
+            if g.units[i].done {
                 return;
             }
-            if units[i].dispatches > resilience.max_retries {
-                // Retry budget spent (initial attempt + max_retries dispatches).
-                self.degrade_unit(units, chunks, i);
+            if !g.degrade || g.units[i].dispatches > g.policy.max_retries {
+                // Strict, or the retry budget is spent (initial attempt + max_retries).
+                self.lose_unit(g, i);
                 return;
             }
-            let failed = units[i].last_target;
-            let all_replicated = units[i]
+            let failed = g.units[i].last_target;
+            let all_replicated = g.units[i]
                 .rows
                 .iter()
                 .all(|&row| self.plan.is_replicated(row));
             if all_replicated {
                 // Every row has a copy on every shard: any healthy shard can serve it.
                 let Some(target) = self.healthy_shard(failed) else {
-                    self.degrade_unit(units, chunks, i);
+                    self.lose_unit(g, i);
                     return;
                 };
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
                 self.fault_window[failed].retries += 1;
                 self.trace_event(FetchEventKind::Retry, failed, 0);
-                if target != units[i].origin {
+                if target != g.units[i].origin {
                     self.counters.promotions.fetch_add(1, Ordering::Relaxed);
                     self.fault_window[target].promotions += 1;
                     self.trace_event(FetchEventKind::Promotion, target, 0);
                 }
-                if self
-                    .dispatch_unit(units, tags, fanout_cost, home, i, target, false, push_wait)
-                    .is_ok()
-                {
+                if self.dispatch_unit(g, i, target, false).is_ok() {
                     return;
                 }
             } else if !self.dead[failed] && !self.links[failed].is_down() {
@@ -1251,13 +1169,13 @@ impl<T: Lane> ClusterClient<T> {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
                 self.fault_window[failed].retries += 1;
                 self.trace_event(FetchEventKind::Retry, failed, 0);
-                let delay = resilience.backoff_us * f64::from(units[i].dispatches);
-                units[i].waiting = Some((failed, self.clock.now_us() + delay));
+                let delay = g.policy.backoff_us * f64::from(g.units[i].dispatches);
+                g.units[i].waiting = Some((failed, self.clock.now_us() + delay));
                 return;
             } else {
                 // The owner is dead. Promote the replicated subset onto a healthy
                 // shard; the cold remainder has no surviving copy and degrades now.
-                let unit = &mut units[i];
+                let unit = &mut g.units[i];
                 let mut hot_rows = Vec::new();
                 let mut hot_positions = Vec::new();
                 let mut cold = 0usize;
@@ -1266,7 +1184,7 @@ impl<T: Lane> ClusterClient<T> {
                         hot_rows.push(row);
                         hot_positions.push(position);
                     } else {
-                        let chunk = chunks[position as usize]
+                        let chunk = g.chunks[position as usize]
                             .take()
                             .expect("each position is served exactly once");
                         chunk.fill(T::default());
@@ -1282,12 +1200,12 @@ impl<T: Lane> ClusterClient<T> {
                 if cold > 0 {
                     self.trace_event(FetchEventKind::Degrade, failed, 0);
                 }
-                if units[i].rows.is_empty() {
-                    units[i].done = true;
+                if g.units[i].rows.is_empty() {
+                    g.units[i].done = true;
                     return;
                 }
                 let Some(target) = self.healthy_shard(failed) else {
-                    self.degrade_unit(units, chunks, i);
+                    self.lose_unit(g, i);
                     return;
                 };
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
@@ -1296,13 +1214,191 @@ impl<T: Lane> ClusterClient<T> {
                 self.fault_window[target].promotions += 1;
                 self.trace_event(FetchEventKind::Retry, failed, 0);
                 self.trace_event(FetchEventKind::Promotion, target, 0);
-                if self
-                    .dispatch_unit(units, tags, fanout_cost, home, i, target, false, push_wait)
-                    .is_ok()
-                {
+                if self.dispatch_unit(g, i, target, false).is_ok() {
                     return;
                 }
             }
+        }
+    }
+
+    /// The one fan-out/gather. The batch's misses are split by shard into units, and
+    /// every dispatch of a unit is an attempt with its own tag. The loop runs the
+    /// router's policy off the injected clock: it expires attempts whose shard went
+    /// down or whose deadline passed, retries with backoff, hedges a slow primary onto
+    /// a replica-holding shard, and promotes a dead shard's replicated rows. What no
+    /// healthy shard can serve is zero-filled and recorded in `missing` — or, under
+    /// [`STRICT`], fails the fetch once every dispatched attempt has been gathered.
+    /// Rows move whole, never partial sums, so every position written by a response
+    /// is bit-identical to the healthy run.
+    fn gather(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
+        let (policy, degrade) = match self.resilience {
+            Some(policy) => (policy, true),
+            None => (STRICT, false),
+        };
+        // Stragglers cannot be confused with this fetch (attempt tags are unique), but
+        // drain them so the bounded reply queue starts with maximal slack.
+        while let Pop::Item(_) = self.reply.pop_timeout(Duration::ZERO) {}
+        let rows: Vec<u32> = work.iter().map(|(row, _)| *row).collect();
+        let split = self.plan.split(&rows);
+        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
+        let mut g = Gather {
+            units: split
+                .per_shard
+                .into_iter()
+                .map(|sub| FetchUnit {
+                    origin: sub.shard,
+                    last_target: sub.shard,
+                    rows: sub.rows,
+                    positions: sub.positions,
+                    dispatches: 0,
+                    attempts: Vec::new(),
+                    waiting: None,
+                    hedged: false,
+                    done: false,
+                })
+                .collect(),
+            tags: HashMap::new(),
+            chunks: work.into_iter().map(|(_, chunk)| Some(chunk)).collect(),
+            fanout_cost: None,
+            home: split.home,
+            policy,
+            degrade,
+            // A wedged shard queue may stall a dispatch, but never past the request
+            // deadline (capped so wall-clock tests stay fast).
+            push_wait: policy.request_timeout_us.is_finite().then(|| {
+                Duration::from_secs_f64((policy.request_timeout_us / 1e6).clamp(0.0, 2.0))
+            }),
+            failed: None,
+        };
+
+        for i in 0..g.units.len() {
+            let target = g.units[i].origin;
+            // Circuit breaker: a shard this client already declared dead is not worth
+            // another deadline — recover (promote or degrade) immediately.
+            if self.dead[target] || self.links[target].is_down() {
+                self.dead[target] = true;
+                // The breaker skip is the down-cause timeout taken eagerly: record it so
+                // every degraded batch's trace shows timeout -> recovery, not just the
+                // batch that first caught the dead shard's expired attempt.
+                self.trace_event(FetchEventKind::Timeout, target, 0);
+                self.recover_unit(&mut g, i);
+            } else if self.dispatch_unit(&mut g, i, target, false).is_err() {
+                self.recover_unit(&mut g, i);
+            }
+        }
+
+        while g.units.iter().any(|unit| !unit.done) {
+            let now = self.clock.now_us();
+            for i in 0..g.units.len() {
+                if g.units[i].done {
+                    continue;
+                }
+                if let Some((target, ready_us)) = g.units[i].waiting {
+                    if now >= ready_us {
+                        g.units[i].waiting = None;
+                        if self.dispatch_unit(&mut g, i, target, false).is_err() {
+                            self.recover_unit(&mut g, i);
+                        }
+                    }
+                    continue;
+                }
+                // Expire dead attempts: a downed link (a worker panic closes its input
+                // queue) fails its attempts immediately, a silent shard on the deadline
+                // (enough strikes and the router stops paying a full deadline for it on
+                // every fetch).
+                let mut k = 0;
+                while k < g.units[i].attempts.len() {
+                    let shard = g.units[i].attempts[k].shard;
+                    let down = self.dead[shard] || self.links[shard].is_down();
+                    let timed_out =
+                        now - g.units[i].attempts[k].sent_us >= policy.request_timeout_us;
+                    if down || timed_out {
+                        if down {
+                            self.dead[shard] = true;
+                        } else {
+                            self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                            self.fault_window[shard].timeouts += 1;
+                            self.strike(shard);
+                        }
+                        let attempt = g.units[i].attempts.remove(k);
+                        g.tags.remove(&attempt.tag);
+                        // One Timeout event for both expiry causes (deadline passed,
+                        // shard down), so chaos trace sequences are stable.
+                        self.trace_event(FetchEventKind::Timeout, shard, attempt.tag);
+                    } else {
+                        k += 1;
+                    }
+                }
+                if g.units[i].attempts.is_empty() {
+                    self.recover_unit(&mut g, i);
+                    continue;
+                }
+                // Hedge a slow, still-unanswered attempt onto a replica-holding shard.
+                if !g.units[i].hedged
+                    && g.units[i].attempts.len() == 1
+                    && now - g.units[i].attempts[0].sent_us >= policy.hedge_after_us
+                    && g.units[i]
+                        .rows
+                        .iter()
+                        .all(|&row| self.plan.is_replicated(row))
+                {
+                    if let Some(target) = self.healthy_shard(g.units[i].attempts[0].shard) {
+                        g.units[i].hedged = true;
+                        self.counters.hedges.fetch_add(1, Ordering::Relaxed);
+                        // A failed hedge dispatch is harmless: the primary is live.
+                        let _ = self.dispatch_unit(&mut g, i, target, true);
+                    }
+                }
+            }
+            if g.units.iter().all(|unit| unit.done) {
+                break;
+            }
+            match self.reply.pop_timeout(GATHER_POLL) {
+                Pop::Item(response) => {
+                    let Some((i, was_hedge)) = g.tags.remove(&response.tag) else {
+                        continue; // an expired attempt's straggler, or a hedge loser
+                    };
+                    if g.units[i].done {
+                        continue;
+                    }
+                    self.trace_event(FetchEventKind::Reply, response.shard, response.tag);
+                    self.trace_node_span(response.shard, response.tag, response.node_span);
+                    for (k, &position) in g.units[i].positions.iter().enumerate() {
+                        let chunk = g.chunks[position as usize]
+                            .take()
+                            .expect("each position is served exactly once");
+                        chunk.copy_from_slice(&response.data[k * self.dim..(k + 1) * self.dim]);
+                    }
+                    if was_hedge {
+                        self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.timeout_strikes[response.shard] = 0;
+                    // Forget the losing sibling attempt (if the unit was hedged) so its
+                    // late response cannot double-write.
+                    for attempt in g.units[i].attempts.drain(..) {
+                        g.tags.remove(&attempt.tag);
+                    }
+                    g.units[i].done = true;
+                }
+                Pop::Closed => {
+                    // Our own reply queue closed under us: nothing can ever arrive
+                    // again, so everything still pending is lost.
+                    for i in 0..g.units.len() {
+                        if !g.units[i].done {
+                            self.lose_unit(&mut g, i);
+                        }
+                    }
+                }
+                Pop::TimedOut => {}
+            }
+        }
+        if let Some(cost) = g.fanout_cost {
+            self.pending_cost = self.pending_cost.serial(cost);
+        }
+        self.poison_next = false;
+        match g.failed {
+            Some(shard) => Err(ServeError::ShardFailed { shard }),
+            None => Ok(()),
         }
     }
 }
@@ -1310,6 +1406,14 @@ impl<T: Lane> ClusterClient<T> {
 impl<T: Lane> RowSource<T> for ClusterClient<T> {
     fn dim(&self) -> usize {
         self.dim
+    }
+
+    fn num_shards(&self) -> usize {
+        self.plan.num_shards()
+    }
+
+    fn home_shard(&self, history: &[u32]) -> usize {
+        self.plan.home_shard(history.iter().copied())
     }
 
     fn check_indices(&self, indices: &[u32]) -> Result<(), ServeError> {
@@ -1320,16 +1424,7 @@ impl<T: Lane> RowSource<T> for ClusterClient<T> {
         if work.is_empty() {
             return Ok(());
         }
-        let resilient = self.resilience.is_some()
-            || self
-                .links
-                .iter()
-                .any(|link| matches!(link, ShardLink::Socket(_)));
-        if resilient {
-            self.fetch_rows_resilient(work)
-        } else {
-            self.fetch_rows_strict(work)
-        }
+        self.gather(work)
     }
 
     fn take_missing(&mut self) -> Vec<u32> {
@@ -1338,6 +1433,26 @@ impl<T: Lane> RowSource<T> for ClusterClient<T> {
 
     fn node_cached(&self) -> bool {
         self.node_cache.is_some()
+    }
+
+    fn node_cache_stats(&self) -> CacheStats {
+        self.counters.node_cache_stats()
+    }
+
+    /// Zeroes every shared cluster counter, not only the node-cache block.
+    fn reset_stats(&mut self) {
+        self.counters.reset();
+    }
+
+    fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
+        (
+            std::mem::take(&mut self.pending_cost),
+            std::mem::take(&mut self.pending_breakdown),
+        )
+    }
+
+    fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
+        Some(self.counters.clone())
     }
 
     fn trace_arm(&mut self, clock: &Arc<dyn Clock>) {
@@ -1415,356 +1530,6 @@ impl<T: Lane> RowSource<T> for ClusterClient<T> {
     }
 }
 
-impl<T: Lane> ClusterClient<T> {
-    /// The strict fan-out/gather: any shard failure is the fetch's failure
-    /// ([`ServeError::ShardFailed`]). This path is the deterministic bit-identity
-    /// oracle the resilient path is tested against.
-    fn fetch_rows_strict(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
-        // Discard stragglers a previously aborted fetch left behind, so leftovers can
-        // never accumulate across fetches: at most one aborted fetch's responses
-        // (< num_shards) coexist with the current fetch's (≤ num_shards), which the
-        // 4×num_shards reply capacity absorbs — shard workers never block on a full
-        // reply queue.
-        while let Pop::Item(_) = self.reply.pop_timeout(std::time::Duration::ZERO) {}
-        let rows: Vec<u32> = work.iter().map(|(row, _)| *row).collect();
-        let split = self.plan.split(&rows);
-        let mut chunks: Vec<Option<&mut [T]>> =
-            work.into_iter().map(|(_, chunk)| Some(chunk)).collect();
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let poison = self.poison_next;
-        self.poison_next = false;
-        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
-
-        // Traffic counters and bus charges are recorded only after a sub-request is
-        // actually accepted by its shard queue, so an aborted fan-out never accounts
-        // transfers that did not happen.
-        let element_bytes = std::mem::size_of::<T>();
-        let mut fanout_cost: Option<Cost> = None;
-        let mut awaiting: HashMap<usize, &[u32]> = HashMap::with_capacity(split.fanout());
-        for sub in &split.per_shard {
-            let trace = self.trace_context();
-            if let Err(error) = self.push_subrequest(
-                sub.shard,
-                SubRequest {
-                    tag,
-                    rows: sub.rows.clone(),
-                    reply: self.reply.clone(),
-                    poison,
-                    fail_fast: true,
-                    trace,
-                },
-            ) {
-                // Dispatch failed mid-fan-out: absorb the responses of the shards
-                // already dispatched before surfacing the error, so no more than one
-                // fetch's worth of responses is ever in flight toward the bounded
-                // reply queue (otherwise a worker's reply push could block forever on
-                // a queue nobody drains, wedging a healthy shard).
-                if let Some(cost) = fanout_cost {
-                    self.pending_cost = self.pending_cost.serial(cost);
-                }
-                self.absorb_stragglers(tag, &mut awaiting);
-                return Err(error);
-            }
-            self.counters.subrequests.fetch_add(1, Ordering::Relaxed);
-            self.trace_event(FetchEventKind::Dispatch, sub.shard, tag);
-            let response_bytes = sub.rows.len() * self.dim * element_bytes;
-            if sub.shard == split.home {
-                self.counters
-                    .local_bytes
-                    .fetch_add(response_bytes as u64, Ordering::Relaxed);
-            } else {
-                let request_bytes = sub.rows.len() * std::mem::size_of::<u32>();
-                self.counters.hops.fetch_add(1, Ordering::Relaxed);
-                // Row payload only, symmetric with `local_bytes`, so the cross-traffic
-                // fraction compares like with like; the bus *charge* still covers the
-                // index bytes of the sub-request.
-                self.counters
-                    .cross_bytes
-                    .fetch_add(response_bytes as u64, Ordering::Relaxed);
-                let hop = self.bus.hop(request_bytes, response_bytes);
-                self.pending_breakdown.merge(&hop.breakdown);
-                fanout_cost = Some(match fanout_cost {
-                    None => hop.cost,
-                    Some(cost) => cost.parallel(hop.cost),
-                });
-            }
-            awaiting.insert(sub.shard, &sub.positions);
-        }
-        if let Some(cost) = fanout_cost {
-            self.pending_cost = self.pending_cost.serial(cost);
-        }
-
-        // Gather: sub-responses may arrive in any order; each writes a disjoint set of
-        // positions, so assembly is deterministic regardless of scheduling.
-        while !awaiting.is_empty() {
-            match self.reply.pop() {
-                Pop::Item(response) => {
-                    if response.tag != tag {
-                        continue; // straggler from an earlier, aborted fetch
-                    }
-                    let positions = awaiting
-                        .remove(&response.shard)
-                        .expect("each touched shard responds once");
-                    self.trace_event(FetchEventKind::Reply, response.shard, response.tag);
-                    self.trace_node_span(response.shard, response.tag, response.node_span);
-                    for (i, &position) in positions.iter().enumerate() {
-                        let chunk = chunks[position as usize]
-                            .take()
-                            .expect("each position is served exactly once");
-                        chunk.copy_from_slice(&response.data[i * self.dim..(i + 1) * self.dim]);
-                    }
-                }
-                Pop::Closed => {
-                    // A shard worker panicked and closed our reply queue. Blame the
-                    // lowest still-unanswered shard (deterministic, and correct when a
-                    // single shard failed).
-                    let shard = awaiting.keys().copied().min().unwrap_or(0);
-                    return Err(ServeError::ShardFailed { shard });
-                }
-                Pop::TimedOut => continue,
-            }
-        }
-        Ok(())
-    }
-
-    /// The fault-tolerant fan-out/gather. Sub-requests carry per-attempt tags; the
-    /// gather loop runs deadlines off the injected clock, retries with backoff, hedges
-    /// a slow primary onto a replica-holding shard, promotes a dead shard's replicated
-    /// rows, and zero-fills what no healthy shard can serve (recorded in `missing`).
-    /// Rows still move whole — never partial sums — so every position written by a
-    /// response is bit-identical to the healthy run.
-    fn fetch_rows_resilient(&mut self, work: Vec<(u32, &mut [T])>) -> Result<(), ServeError> {
-        let resilience = self.resilience.unwrap_or_default();
-        // Stragglers cannot be confused with this fetch (attempt tags are unique), but
-        // drain them so the bounded reply queue starts with maximal slack.
-        while let Pop::Item(_) = self.reply.pop_timeout(Duration::ZERO) {}
-        let rows: Vec<u32> = work.iter().map(|(row, _)| *row).collect();
-        let split = self.plan.split(&rows);
-        let home = split.home;
-        let mut chunks: Vec<Option<&mut [T]>> =
-            work.into_iter().map(|(_, chunk)| Some(chunk)).collect();
-        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
-        // A wedged shard queue may stall a dispatch, but never past the request
-        // deadline (capped so wall-clock tests stay fast).
-        let push_wait =
-            Duration::from_secs_f64((resilience.request_timeout_us / 1e6).clamp(0.0, 2.0));
-        let mut units: Vec<FetchUnit> = split
-            .per_shard
-            .into_iter()
-            .map(|sub| FetchUnit {
-                origin: sub.shard,
-                last_target: sub.shard,
-                rows: sub.rows,
-                positions: sub.positions,
-                dispatches: 0,
-                attempts: Vec::new(),
-                waiting: None,
-                hedged: false,
-                done: false,
-            })
-            .collect();
-        let mut tags: HashMap<u64, (usize, bool)> = HashMap::with_capacity(units.len());
-        let mut fanout_cost: Option<Cost> = None;
-
-        for i in 0..units.len() {
-            let target = units[i].origin;
-            // Circuit breaker: a shard this client already declared dead is not worth
-            // another deadline — recover (promote or degrade) immediately.
-            if self.dead[target] || self.links[target].is_down() {
-                self.dead[target] = true;
-                // The breaker skip is the down-cause timeout taken eagerly: record it so
-                // every degraded batch's trace shows timeout -> recovery, not just the
-                // batch that first caught the dead shard's expired attempt.
-                self.trace_event(FetchEventKind::Timeout, target, 0);
-                self.recover_unit(
-                    &mut units,
-                    &mut tags,
-                    &mut chunks,
-                    &mut fanout_cost,
-                    home,
-                    i,
-                    &resilience,
-                    push_wait,
-                );
-                continue;
-            }
-            if self
-                .dispatch_unit(
-                    &mut units,
-                    &mut tags,
-                    &mut fanout_cost,
-                    home,
-                    i,
-                    target,
-                    false,
-                    push_wait,
-                )
-                .is_err()
-            {
-                self.recover_unit(
-                    &mut units,
-                    &mut tags,
-                    &mut chunks,
-                    &mut fanout_cost,
-                    home,
-                    i,
-                    &resilience,
-                    push_wait,
-                );
-            }
-        }
-
-        while units.iter().any(|unit| !unit.done) {
-            let now = self.clock.now_us();
-            for i in 0..units.len() {
-                if units[i].done {
-                    continue;
-                }
-                if let Some((target, ready_us)) = units[i].waiting {
-                    if now >= ready_us {
-                        units[i].waiting = None;
-                        if self
-                            .dispatch_unit(
-                                &mut units,
-                                &mut tags,
-                                &mut fanout_cost,
-                                home,
-                                i,
-                                target,
-                                false,
-                                push_wait,
-                            )
-                            .is_err()
-                        {
-                            self.recover_unit(
-                                &mut units,
-                                &mut tags,
-                                &mut chunks,
-                                &mut fanout_cost,
-                                home,
-                                i,
-                                &resilience,
-                                push_wait,
-                            );
-                        }
-                    }
-                    continue;
-                }
-                // Expire dead attempts: a downed link fails its attempts immediately,
-                // a silent shard on the deadline (enough strikes and the router stops
-                // paying a full deadline for it on every fetch).
-                let mut k = 0;
-                while k < units[i].attempts.len() {
-                    let shard = units[i].attempts[k].shard;
-                    let down = self.dead[shard] || self.links[shard].is_down();
-                    let timed_out =
-                        now - units[i].attempts[k].sent_us >= resilience.request_timeout_us;
-                    if down || timed_out {
-                        if down {
-                            self.dead[shard] = true;
-                        } else {
-                            self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                            self.fault_window[shard].timeouts += 1;
-                            self.strike(shard);
-                        }
-                        let attempt = units[i].attempts.remove(k);
-                        tags.remove(&attempt.tag);
-                        // One Timeout event for both expiry causes (deadline passed,
-                        // shard down), so chaos trace sequences are stable.
-                        self.trace_event(FetchEventKind::Timeout, shard, attempt.tag);
-                    } else {
-                        k += 1;
-                    }
-                }
-                if units[i].attempts.is_empty() {
-                    self.recover_unit(
-                        &mut units,
-                        &mut tags,
-                        &mut chunks,
-                        &mut fanout_cost,
-                        home,
-                        i,
-                        &resilience,
-                        push_wait,
-                    );
-                    continue;
-                }
-                // Hedge a slow, still-unanswered attempt onto a replica-holding shard.
-                if !units[i].hedged
-                    && units[i].attempts.len() == 1
-                    && now - units[i].attempts[0].sent_us >= resilience.hedge_after_us
-                    && units[i]
-                        .rows
-                        .iter()
-                        .all(|&row| self.plan.is_replicated(row))
-                {
-                    if let Some(target) = self.healthy_shard(units[i].attempts[0].shard) {
-                        units[i].hedged = true;
-                        self.counters.hedges.fetch_add(1, Ordering::Relaxed);
-                        // A failed hedge dispatch is harmless: the primary is live.
-                        let _ = self.dispatch_unit(
-                            &mut units,
-                            &mut tags,
-                            &mut fanout_cost,
-                            home,
-                            i,
-                            target,
-                            true,
-                            push_wait,
-                        );
-                    }
-                }
-            }
-            if units.iter().all(|unit| unit.done) {
-                break;
-            }
-            match self.reply.pop_timeout(GATHER_POLL) {
-                Pop::Item(response) => {
-                    let Some((i, was_hedge)) = tags.remove(&response.tag) else {
-                        continue; // an expired attempt's straggler, or a hedge loser
-                    };
-                    if units[i].done {
-                        continue;
-                    }
-                    self.trace_event(FetchEventKind::Reply, response.shard, response.tag);
-                    self.trace_node_span(response.shard, response.tag, response.node_span);
-                    for (k, &position) in units[i].positions.iter().enumerate() {
-                        let chunk = chunks[position as usize]
-                            .take()
-                            .expect("each position is served exactly once");
-                        chunk.copy_from_slice(&response.data[k * self.dim..(k + 1) * self.dim]);
-                    }
-                    if was_hedge {
-                        self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.timeout_strikes[response.shard] = 0;
-                    // Forget the losing sibling attempt (if the unit was hedged) so its
-                    // late response cannot double-write.
-                    for attempt in units[i].attempts.drain(..) {
-                        tags.remove(&attempt.tag);
-                    }
-                    units[i].done = true;
-                }
-                Pop::Closed => {
-                    // Our own reply queue closed under us: nothing can ever arrive
-                    // again, so everything still pending degrades.
-                    for i in 0..units.len() {
-                        if !units[i].done {
-                            self.degrade_unit(&mut units, &mut chunks, i);
-                        }
-                    }
-                }
-                Pop::TimedOut => {}
-            }
-        }
-        if let Some(cost) = fanout_cost {
-            self.pending_cost = self.pending_cost.serial(cost);
-        }
-        Ok(())
-    }
-}
-
 /// Optional knobs for a cluster spawn: fault injection and an injectable clock.
 /// Separate from [`ClusterConfig`] so the config stays plain comparable data.
 #[derive(Debug, Default)]
@@ -1772,7 +1537,7 @@ pub struct ClusterOptions {
     /// Inject this fault plan into the shard nodes (in-process workers check it per
     /// sub-request; socket nodes receive it as a `CHAOS` frame).
     pub chaos: Option<Arc<ChaosPlan>>,
-    /// Deadline source for the router's resilient path ([`WallClock`] by default).
+    /// Deadline source for the router's gather loop ([`WallClock`] by default).
     pub clock: Option<Arc<dyn Clock>>,
     /// Give every shard node its own hot-row cache (in-process workers share one per
     /// shard; socket nodes are armed with a `CACHE` frame). `None` — and a zero
@@ -1787,88 +1552,40 @@ pub(crate) fn spawn_cluster<T: Lane>(
     plan: ShardPlan,
     config: &ClusterConfig,
 ) -> Result<(ClusterClient<T>, ClusterHandle), ServeError> {
-    spawn_cluster_with(arena, plan, config, ClusterOptions::default())
+    start_cluster(arena, plan, config, None, ClusterOptions::default())
 }
 
-/// [`spawn_cluster`] with chaos injection and a custom clock. Every shard node views
-/// the caller's [`RowArena`] — loading copies zero rows.
+/// [`spawn_cluster`] with chaos injection and a custom clock.
+#[cfg(test)]
 pub(crate) fn spawn_cluster_with<T: Lane>(
     arena: &RowArena<T>,
     plan: ShardPlan,
     config: &ClusterConfig,
     options: ClusterOptions,
 ) -> Result<(ClusterClient<T>, ClusterHandle), ServeError> {
-    config.validate()?;
-    let dim = arena.dim();
-    let num_shards = plan.num_shards();
-    let counters = Arc::new(ClusterCounters::new(
-        num_shards,
-        config,
-        plan.placement(),
-        plan.hot_replicas(),
-    ));
-    let node_cache = options.node_cache.filter(|cache| cache.capacity > 0);
-    let mut links = Vec::with_capacity(num_shards);
-    let mut workers = Vec::with_capacity(num_shards * config.workers_per_shard);
-    let mut closers: Vec<Box<dyn Fn() + Send + Sync>> = Vec::with_capacity(num_shards);
-    for shard in 0..num_shards {
-        let storage = Arc::new(ShardStorage::build(arena, plan.rows_on(shard)));
-        let input: Arc<BoundedQueue<SubRequest<T>>> =
-            Arc::new(BoundedQueue::new(config.queue_capacity));
-        // One cache per shard *node*, shared by its workers — the cache lives where
-        // the rows live, which is the whole point of the per-shard placement.
-        let cache = node_cache.map(|cache| {
-            Arc::new(Mutex::new(HotRowCache::with_policy(
-                cache.capacity,
-                dim,
-                cache.policy,
-            )))
-        });
-        for _ in 0..config.workers_per_shard {
-            let storage = storage.clone();
-            let input = input.clone();
-            let counters = counters.clone();
-            let chaos = options.chaos.clone();
-            let cache = cache.clone();
-            workers.push((
-                shard,
-                std::thread::spawn(move || {
-                    run_shard_worker(shard, storage, input, counters, chaos, cache)
-                }),
-            ));
-        }
-        closers.push(Box::new({
-            let input = input.clone();
-            move || input.close()
-        }));
-        links.push(ShardLink::Queue(input));
-    }
-    let mut client = assemble_client(plan, links, dim, config, options.clock, counters.clone());
-    client.node_cache = node_cache;
-    let handle = ClusterHandle {
-        closers,
-        workers,
-        counters,
-    };
-    Ok((client, handle))
+    start_cluster(arena, plan, config, None, options)
 }
 
-/// Connect a router to already-running shard-node processes over Unix-domain sockets
-/// (`sockets[shard]` is shard `shard`'s listener, see
-/// [`run_shard_node`](crate::transport::run_shard_node)), loading each node's resident
-/// rows over the wire. The socket path always runs the resilient fetch machinery; the
-/// handle owns shutdown (each node is told to exit) but no threads.
-pub(crate) fn connect_cluster<T: Lane>(
+/// Start a shard cluster for a catalogue and hand back a router plus the owning handle.
+///
+/// Without `sockets` every shard node is a set of worker threads in this process that
+/// views the caller's [`RowArena`] — loading copies zero rows. With `sockets`,
+/// `sockets[shard]` is the listener of an already-running shard-node process (see
+/// [`run_shard_node`](crate::transport::run_shard_node)); the router loads each node's
+/// resident rows over the wire, and the handle owns shutdown (each node is told to
+/// exit) but no threads. Socket links have no strict policy: without a configured
+/// resilience they run [`ResilienceConfig::default`].
+pub(crate) fn start_cluster<T: Lane>(
     arena: &RowArena<T>,
     plan: ShardPlan,
     config: &ClusterConfig,
-    sockets: &[PathBuf],
+    sockets: Option<&[PathBuf]>,
     options: ClusterOptions,
 ) -> Result<(ClusterClient<T>, ClusterHandle), ServeError> {
     config.validate()?;
     let dim = arena.dim();
     let num_shards = plan.num_shards();
-    if sockets.len() != num_shards {
+    if let Some(sockets) = sockets.filter(|sockets| sockets.len() != num_shards) {
         return Err(ServeError::InvalidConfig {
             reason: format!(
                 "{num_shards} shards need {num_shards} socket paths, got {}",
@@ -1882,106 +1599,138 @@ pub(crate) fn connect_cluster<T: Lane>(
         plan.placement(),
         plan.hot_replicas(),
     ));
+    let node_cache = options.node_cache.filter(|cache| cache.capacity > 0);
     let reply: Arc<BoundedQueue<SubResponse<T>>> =
         Arc::new(BoundedQueue::new(reply_capacity(num_shards)));
     let mut links = Vec::with_capacity(num_shards);
     let mut closers: Vec<Box<dyn Fn() + Send + Sync>> = Vec::with_capacity(num_shards);
-    let node_cache = options.node_cache.filter(|cache| cache.capacity > 0);
-    for (shard, path) in sockets.iter().enumerate() {
-        let mut handshake = transport::encode_load(shard as u32, arena, plan.rows_on(shard));
-        if let Some(cache) = node_cache {
-            // The CACHE frame rides the same handshake bytes as the LOAD, so a router
-            // clone's re-dial re-arms the node cache exactly like it re-installs rows.
-            handshake.extend_from_slice(&transport::encode_cache_config(
-                shard as u32,
-                cache.capacity as u64,
-                cache.policy,
-            ));
-        }
-        let link = SocketLink::connect(
-            shard,
-            path,
-            dim,
-            Arc::new(handshake),
-            config.queue_capacity,
-            reply.clone(),
-            Some(counters.clone()),
-        )
-        .map_err(|_| ServeError::TransportClosed { shard })?;
-        if let Some(chaos) = options
-            .chaos
-            .as_deref()
-            .filter(|plan| plan.spec().shard == shard)
-        {
-            let (fault, param) = chaos.spec().kind.wire_code();
-            link.send_blocking(transport::encode_chaos(
-                shard as u32,
-                fault,
-                chaos.fire_after(),
-                param,
-            ))
-            .map_err(|_| ServeError::TransportClosed { shard })?;
-        }
-        closers.push(Box::new({
-            let path = path.clone();
-            let shard = shard as u32;
-            move || {
-                // A dedicated one-shot connection so shutdown works even after the
-                // router (and its links) is gone. A dead node is already shut down.
-                use std::io::Write as _;
-                if let Ok(mut stream) = std::os::unix::net::UnixStream::connect(&path) {
-                    let _ = stream.write_all(&transport::encode_shutdown(shard));
+    let mut workers = Vec::new();
+    for shard in 0..num_shards {
+        let (link, closer): (ShardLink<T>, Box<dyn Fn() + Send + Sync>) = match sockets {
+            None => {
+                let storage = Arc::new(ShardStorage::build(arena, plan.rows_on(shard)));
+                let input: Arc<BoundedQueue<SubRequest<T>>> =
+                    Arc::new(BoundedQueue::new(config.queue_capacity));
+                // One cache per shard *node*, shared by its workers — the cache lives
+                // where the rows live, which is the whole point of the per-shard
+                // placement.
+                let cache = node_cache.map(|cache| {
+                    Arc::new(Mutex::new(HotRowCache::with_policy(
+                        cache.capacity,
+                        dim,
+                        cache.policy,
+                    )))
+                });
+                for _ in 0..config.workers_per_shard {
+                    let storage = storage.clone();
+                    let input = input.clone();
+                    let counters = counters.clone();
+                    let chaos = options.chaos.clone();
+                    let cache = cache.clone();
+                    workers.push((
+                        shard,
+                        std::thread::spawn(move || {
+                            run_shard_worker(shard, storage, input, counters, chaos, cache)
+                        }),
+                    ));
                 }
+                let closer = {
+                    let input = input.clone();
+                    Box::new(move || input.close())
+                };
+                (ShardLink::Queue(input), closer)
             }
-        }));
-        links.push(ShardLink::Socket(link));
+            Some(sockets) => {
+                let path = &sockets[shard];
+                let mut handshake =
+                    transport::encode_load(shard as u32, arena, plan.rows_on(shard));
+                if let Some(cache) = node_cache {
+                    // The CACHE frame rides the same handshake bytes as the LOAD, so a
+                    // router clone's re-dial re-arms the node cache exactly like it
+                    // re-installs rows.
+                    handshake.extend_from_slice(&transport::encode_cache_config(
+                        shard as u32,
+                        cache.capacity as u64,
+                        cache.policy,
+                    ));
+                }
+                let link = SocketLink::connect(
+                    shard,
+                    path,
+                    dim,
+                    Arc::new(handshake),
+                    config.queue_capacity,
+                    reply.clone(),
+                    Some(counters.clone()),
+                )
+                .map_err(|_| ServeError::TransportClosed { shard })?;
+                if let Some(chaos) = options
+                    .chaos
+                    .as_deref()
+                    .filter(|plan| plan.spec().shard == shard)
+                {
+                    let (fault, param) = chaos.spec().kind.wire_code();
+                    link.send_blocking(transport::encode_chaos(
+                        shard as u32,
+                        fault,
+                        chaos.fire_after(),
+                        param,
+                    ))
+                    .map_err(|_| ServeError::TransportClosed { shard })?;
+                }
+                let closer = {
+                    let path = path.clone();
+                    let shard = shard as u32;
+                    Box::new(move || {
+                        // A dedicated one-shot connection so shutdown works even after
+                        // the router (and its links) is gone. A dead node is already
+                        // shut down.
+                        use std::io::Write as _;
+                        if let Ok(mut stream) = std::os::unix::net::UnixStream::connect(&path) {
+                            let _ = stream.write_all(&transport::encode_shutdown(shard));
+                        }
+                    })
+                };
+                (ShardLink::Socket(link), closer)
+            }
+        };
+        links.push(link);
+        closers.push(closer);
     }
-    let mut client = assemble_client(plan, links, dim, config, options.clock, counters.clone());
-    client.node_cache = node_cache;
-    client.reply = reply;
-    let handle = ClusterHandle {
-        closers,
-        workers: Vec::new(),
-        counters,
-    };
-    Ok((client, handle))
-}
-
-/// Room for one response per shard plus a retry, a hedge, and stragglers from an
-/// aborted fetch — shard workers never block on a full reply queue.
-fn reply_capacity(num_shards: usize) -> usize {
-    num_shards.max(1) * 4
-}
-
-fn assemble_client<T: Lane>(
-    plan: ShardPlan,
-    links: Vec<ShardLink<T>>,
-    dim: usize,
-    config: &ClusterConfig,
-    clock: Option<Arc<dyn Clock>>,
-    counters: Arc<ClusterCounters>,
-) -> ClusterClient<T> {
-    let num_shards = plan.num_shards();
-    ClusterClient {
+    let client = ClusterClient {
         plan: Arc::new(plan),
         links,
-        reply: Arc::new(BoundedQueue::new(reply_capacity(num_shards))),
+        reply,
         dim,
         bus: RscBus::new(config.interconnect),
-        counters,
+        counters: counters.clone(),
         pending_cost: Cost::ZERO,
         pending_breakdown: CostBreakdown::new(),
         next_tag: 0,
         poison_next: false,
-        resilience: config.resilience,
-        clock: clock.unwrap_or_else(|| Arc::new(WallClock::new())),
+        resilience: config
+            .resilience
+            .or_else(|| sockets.map(|_| ResilienceConfig::default())),
+        clock: options.clock.unwrap_or_else(|| Arc::new(WallClock::new())),
         dead: vec![false; num_shards],
         timeout_strikes: vec![0; num_shards],
         missing: Vec::new(),
         trace: None,
         fault_window: vec![ShardFaultDelta::default(); num_shards],
-        node_cache: None,
-    }
+        node_cache,
+    };
+    let handle = ClusterHandle {
+        closers,
+        workers,
+        counters,
+    };
+    Ok((client, handle))
+}
+
+/// Room for one response per shard plus a retry, a hedge, and stragglers from a
+/// failed fetch — shard workers never block on a full reply queue.
+fn reply_capacity(num_shards: usize) -> usize {
+    num_shards.max(1) * 4
 }
 
 #[cfg(test)]
@@ -2436,7 +2185,10 @@ mod tests {
     /// A kill closes the shard's queue, so it surfaces on the dead-owner path as a
     /// per-window retry/promotion spike on the killed shard; a stall keeps the
     /// shard "up" but mute, so it additionally drives the deadline path and lands
-    /// windowed timeouts on the stalled shard.
+    /// windowed timeouts on the stalled shard. The healthy and kill legs run their
+    /// deadlines on a frozen manual clock — a kill is detected through the closed
+    /// queue, not a deadline, and a healthy shard under parallel test load must not
+    /// miss a wall-clock one. Only the stall leg needs wall time to expire.
     #[test]
     fn a_chaos_kill_spikes_the_per_window_fault_series() {
         let table = items();
@@ -2452,7 +2204,7 @@ mod tests {
             max_retries: 2,
             backoff_us: 100.0,
         });
-        let serve = |chaos: Option<Arc<ChaosPlan>>| {
+        let serve = |chaos: Option<Arc<ChaosPlan>>, clock: Option<Arc<dyn Clock>>| {
             let (mut engine, handle) = ServeEngine::new_clustered_with(
                 Dlrm::new(DlrmConfig::tiny()).unwrap(),
                 &table,
@@ -2461,7 +2213,7 @@ mod tests {
                 Some(&histogram),
                 ClusterOptions {
                     chaos,
-                    clock: None,
+                    clock,
                     node_cache: None,
                 },
             )
@@ -2471,7 +2223,8 @@ mod tests {
             let _ = handle.shutdown(); // a killed worker is reported, not hung on
             outcome.report.metrics.expect("metrics enabled")
         };
-        let healthy = serve(None);
+        let frozen = || -> Option<Arc<dyn Clock>> { Some(Arc::new(ManualClock::new())) };
+        let healthy = serve(None, frozen());
         assert!(
             healthy
                 .fault_events()
@@ -2479,7 +2232,10 @@ mod tests {
                 .all(|&(_, faults)| faults == 0),
             "healthy run: no fault events in any window"
         );
-        let killed = serve(Some(Arc::new(ChaosPlan::parse("kill:1", 5).unwrap())));
+        let killed = serve(
+            Some(Arc::new(ChaosPlan::parse("kill:1", 5).unwrap())),
+            frozen(),
+        );
         let retries_on_killed: u64 = killed
             .windows
             .iter()
@@ -2499,7 +2255,10 @@ mod tests {
             killed.fault_events().iter().any(|&(_, faults)| faults > 0),
             "the spike is visible per window"
         );
-        let stalled = serve(Some(Arc::new(ChaosPlan::parse("stall:1", 5).unwrap())));
+        let stalled = serve(
+            Some(Arc::new(ChaosPlan::parse("stall:1", 5).unwrap())),
+            None,
+        );
         let timeouts_on_stalled: u64 = stalled
             .windows
             .iter()
@@ -2644,7 +2403,6 @@ mod tests {
                 rows: vec![],
                 reply: client.reply.clone(),
                 poison: false,
-                fail_fast: true,
                 trace: None,
             })
             .unwrap();
@@ -2972,8 +2730,8 @@ mod tests {
     fn uds_cluster_replay_matches_in_process_bit_for_bit() {
         let table = items();
         let workload = ReplayWorkload::generate(&replay_config(200)).unwrap();
-        // The socket path always runs the resilient fan-out (per-attempt tags), so the
-        // in-process oracle must too, or the trace comparison would diff tag schemes.
+        // Socket links run `ResilienceConfig::default()` when none is set; the
+        // in-process oracle gets the same policy explicitly.
         let mut cluster = cluster_config(2, 1);
         cluster.resilience = Some(ResilienceConfig::default());
         let trace_config = crate::trace::TraceConfig {

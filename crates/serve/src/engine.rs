@@ -33,7 +33,6 @@ use imars_recsys::dlrm::{Dlrm, DlrmSample};
 use imars_recsys::embedding::EmbeddingTable;
 use imars_recsys::lsh::RandomHyperplaneLsh;
 use imars_recsys::quantization::{QuantizationParams, QuantizedTable};
-use serde::{Deserialize, Serialize};
 
 use imars_datasets::workload::InferenceQuery;
 
@@ -41,21 +40,21 @@ use crate::batcher::{BatchPolicy, DynamicBatcher, FlushedBatch};
 use crate::cache::{CachePlacement, CachePolicy, CacheStats, HotRowCache};
 use crate::clock::Clock;
 use crate::cluster::{
-    connect_cluster, spawn_cluster_with, ClusterClient, ClusterConfig, ClusterCounters,
-    ClusterHandle, ClusterOptions, NodeCacheConfig,
+    start_cluster, ClusterConfig, ClusterCounters, ClusterHandle, ClusterOptions, NodeCacheConfig,
 };
 use crate::error::ServeError;
-use crate::metrics::{MetricsConfig, MetricsScraper};
+use crate::metrics::{MetricsConfig, MetricsScraper, ShardFaultDelta};
 use crate::placement::ShardPlan;
 use crate::replay::ReplayWorkload;
-use crate::shard::{shard_embedding, Lane, RowSource, ShardedTable};
+use crate::shard::{Lane, RowSource, ShardedTable};
 use crate::telemetry::{ClusterStats, ServeReport, ServeTelemetry};
 use crate::trace::{BatchScratch, PoolTrace, TraceConfig, TraceLog, Tracer};
 use imars_fabric::cost::CostBreakdown;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Numeric format of the item embedding rows the engine serves from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServePrecision {
     /// Full-precision rows, plain f32 accumulation (the GPU-baseline format).
     Fp32,
@@ -65,7 +64,7 @@ pub enum ServePrecision {
 }
 
 /// Configuration of a [`ServeEngine`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Number of embedding shards (contiguous row ranges).
     pub shards: usize,
@@ -127,19 +126,14 @@ impl ServeConfig {
         }
     }
 
-    /// Per-shard-node cache capacity: the total budget split evenly (rounded up) over
-    /// the `shards` actually built. Zero unless the layout is [`CachePlacement::Shard`].
-    fn node_cache_capacity(&self, shards: usize) -> usize {
-        match self.cache_placement {
+    /// The per-shard-node cache configuration: the total budget split evenly
+    /// (rounded up) over the `shards` actually built. `None` when the cache stays at
+    /// the router or the budget is zero.
+    fn node_cache_config(&self, shards: usize) -> Option<NodeCacheConfig> {
+        let capacity = match self.cache_placement {
             CachePlacement::Router => 0,
             CachePlacement::Shard => self.cache_capacity.div_ceil(shards.max(1)),
-        }
-    }
-
-    /// The node-cache configuration the cluster constructors hand to the shard nodes
-    /// (`None` when the cache stays at the router or the budget is zero).
-    fn node_cache_config(&self, shards: usize) -> Option<NodeCacheConfig> {
-        let capacity = self.node_cache_capacity(shards);
+        };
         (capacity > 0).then_some(NodeCacheConfig {
             capacity,
             policy: self.cache_policy,
@@ -149,7 +143,7 @@ impl ServeConfig {
 
 /// One timed serving request: the inference query plus the features the engine needs to
 /// execute it (multi-hot item history and DLRM categorical values).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeRequest {
     /// Request id (trace position).
     pub id: u64,
@@ -164,7 +158,7 @@ pub struct ServeRequest {
 }
 
 /// The served result of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeResponse {
     /// Request id the response answers.
     pub id: u64,
@@ -189,38 +183,107 @@ pub struct ReplayOutcome {
     pub trace: TraceLog,
 }
 
-/// The sharded + cached item row store: in-process shards or a multi-node cluster, in
-/// one of the two served precisions.
-#[derive(Debug, Clone)]
-enum ItemStore {
-    Fp32 {
-        shards: ShardedTable<f32>,
-        cache: HotRowCache<f32>,
-    },
-    Int8 {
-        shards: ShardedTable<i8>,
-        cache: HotRowCache<i8>,
-        params: QuantizationParams,
-    },
-    ClusterFp32 {
-        client: ClusterClient<f32>,
-        cache: HotRowCache<f32>,
-    },
-    ClusterInt8 {
-        client: ClusterClient<i8>,
-        cache: HotRowCache<i8>,
-        params: QuantizationParams,
-    },
+/// A row element the engine serves: how pooled profiles in this format become the
+/// model's f32 dense input.
+trait Served: Lane + std::fmt::Debug {
+    /// Pool through `pool` into `dense`. f32 profiles are the dense input itself;
+    /// int8 profiles pool into a scratch buffer and are dequantized with `params`.
+    fn pool_into_dense(
+        dense: &mut [f32],
+        params: Option<QuantizationParams>,
+        pool: impl FnOnce(&mut [Self]) -> Result<Vec<u32>, ServeError>,
+    ) -> Result<Vec<u32>, ServeError>;
 }
 
-impl ItemStore {
-    fn num_shards(&self) -> usize {
-        match self {
-            ItemStore::Fp32 { shards, .. } => shards.num_shards(),
-            ItemStore::Int8 { shards, .. } => shards.num_shards(),
-            ItemStore::ClusterFp32 { client, .. } => client.plan().num_shards(),
-            ItemStore::ClusterInt8 { client, .. } => client.plan().num_shards(),
+impl Served for f32 {
+    fn pool_into_dense(
+        dense: &mut [f32],
+        _params: Option<QuantizationParams>,
+        pool: impl FnOnce(&mut [f32]) -> Result<Vec<u32>, ServeError>,
+    ) -> Result<Vec<u32>, ServeError> {
+        pool(dense)
+    }
+}
+
+impl Served for i8 {
+    fn pool_into_dense(
+        dense: &mut [f32],
+        params: Option<QuantizationParams>,
+        pool: impl FnOnce(&mut [i8]) -> Result<Vec<u32>, ServeError>,
+    ) -> Result<Vec<u32>, ServeError> {
+        let params = params.expect("an int8 store carries its quantization parameters");
+        let mut profiles = vec![0i8; dense.len()];
+        let missing = pool(&mut profiles)?;
+        for (out, &quantized) in dense.iter_mut().zip(&profiles) {
+            *out = params.dequantize(quantized);
         }
+        Ok(missing)
+    }
+}
+
+/// The sharded + cached item row store: a row source — the in-process shards or a
+/// multi-node cluster router — fronted by the router-side hot-row cache, in one served
+/// row format.
+#[derive(Debug, Clone)]
+struct ItemStore<T: Lane, S> {
+    source: S,
+    cache: HotRowCache<T>,
+    /// Dequantization of pooled int8 profiles (`None` for f32 rows).
+    params: Option<QuantizationParams>,
+}
+
+/// The engine's view of its [`ItemStore`], erased over row format and row source so
+/// one engine type serves every combination.
+trait Store: std::fmt::Debug + Send + Sync {
+    fn clone_box(&self) -> Box<dyn Store>;
+
+    fn num_shards(&self) -> usize;
+
+    fn home_shard(&self, history: &[u32]) -> usize;
+
+    fn cache_stats(&self) -> CacheStats;
+
+    fn router_cache_stats(&self) -> CacheStats;
+
+    fn reset_stats(&mut self);
+
+    fn take_interconnect(&mut self) -> (Cost, CostBreakdown);
+
+    fn take_fault_deltas(&mut self) -> Vec<ShardFaultDelta>;
+
+    fn cluster_counters(&self) -> Option<Arc<ClusterCounters>>;
+
+    fn catalogue_resident_bytes(&self) -> Option<usize>;
+
+    fn pool_dense(
+        &mut self,
+        batch: &PoolingBatch,
+        dense: &mut [f32],
+        trace: Option<&mut PoolTrace>,
+    ) -> Result<Vec<u32>, ServeError>;
+}
+
+impl Clone for Box<dyn Store> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
+impl<T, S> Store for ItemStore<T, S>
+where
+    T: Served,
+    S: RowSource<T> + Clone + std::fmt::Debug + Send + Sync + 'static,
+{
+    fn clone_box(&self) -> Box<dyn Store> {
+        Box::new(self.clone())
+    }
+
+    fn num_shards(&self) -> usize {
+        self.source.num_shards()
+    }
+
+    fn home_shard(&self, history: &[u32]) -> usize {
+        self.source.home_shard(history)
     }
 
     /// The run's combined cache counters: the router cache merged with whatever the
@@ -230,16 +293,8 @@ impl ItemStore {
     /// the GPCiM cost model charges a CMA RAM read for. With node caches off the node
     /// side is all-zero and this degenerates to the router cache's own counters.
     fn cache_stats(&self) -> CacheStats {
-        let (router, node) = match self {
-            ItemStore::Fp32 { shards, cache } => (cache.stats(), shards.node_cache_stats()),
-            ItemStore::Int8 { shards, cache, .. } => (cache.stats(), shards.node_cache_stats()),
-            ItemStore::ClusterFp32 { client, cache } => {
-                (cache.stats(), client.counters().node_cache_stats())
-            }
-            ItemStore::ClusterInt8 { client, cache, .. } => {
-                (cache.stats(), client.counters().node_cache_stats())
-            }
-        };
+        let router = self.cache.stats();
+        let node = self.source.node_cache_stats();
         CacheStats {
             hits: router.hits + node.hits,
             coalesced: router.coalesced + node.coalesced,
@@ -252,112 +307,33 @@ impl ItemStore {
         }
     }
 
-    fn reset_cache_stats(&mut self) {
-        match self {
-            ItemStore::Fp32 { shards, cache } => {
-                cache.reset_stats();
-                shards.reset_node_cache_stats();
-            }
-            ItemStore::Int8 { shards, cache, .. } => {
-                cache.reset_stats();
-                shards.reset_node_cache_stats();
-            }
-            ItemStore::ClusterFp32 { client, cache } => {
-                cache.reset_stats();
-                client.counters().reset();
-            }
-            ItemStore::ClusterInt8 { client, cache, .. } => {
-                cache.reset_stats();
-                client.counters().reset();
-            }
-        }
-    }
-
-    /// The interconnect cost the cluster accumulated since the last collection (zero
-    /// for in-process stores).
-    fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
-        match self {
-            ItemStore::ClusterFp32 { client, .. } => client.take_interconnect(),
-            ItemStore::ClusterInt8 { client, .. } => client.take_interconnect(),
-            _ => (Cost::ZERO, CostBreakdown::new()),
-        }
-    }
-
     /// Router-side cache counters only. The metrics plane's per-window cache
-    /// attribution reads these instead of [`ItemStore::cache_stats`]: the node-cache
+    /// attribution reads these instead of [`Store::cache_stats`]: the node-cache
     /// counters are shared atomics that other worker clones mutate concurrently, so
     /// folding them into a window would make the per-window split nondeterministic.
     fn router_cache_stats(&self) -> CacheStats {
-        match self {
-            ItemStore::Fp32 { cache, .. } => cache.stats(),
-            ItemStore::Int8 { cache, .. } => cache.stats(),
-            ItemStore::ClusterFp32 { cache, .. } => cache.stats(),
-            ItemStore::ClusterInt8 { cache, .. } => cache.stats(),
-        }
+        self.cache.stats()
     }
 
-    /// Drain the router clone's per-shard fault deltas (empty for in-process stores
-    /// and fault-free batches).
-    fn take_fault_deltas(&mut self) -> Vec<crate::metrics::ShardFaultDelta> {
-        match self {
-            ItemStore::ClusterFp32 { client, .. } => client.take_fault_deltas(),
-            ItemStore::ClusterInt8 { client, .. } => client.take_fault_deltas(),
-            _ => Vec::new(),
-        }
+    fn reset_stats(&mut self) {
+        self.cache.reset_stats();
+        self.source.reset_stats();
     }
 
-    /// A snapshot of the cluster counters (None for in-process stores).
-    fn cluster_stats(&self) -> Option<ClusterStats> {
-        match self {
-            ItemStore::ClusterFp32 { client, .. } => Some(client.stats()),
-            ItemStore::ClusterInt8 { client, .. } => Some(client.stats()),
-            _ => None,
-        }
+    fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
+        self.source.take_interconnect()
     }
 
-    /// The shared cluster counters, for reporters that outlive this engine clone.
-    pub(crate) fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
-        match self {
-            ItemStore::ClusterFp32 { client, .. } => Some(client.counters()),
-            ItemStore::ClusterInt8 { client, .. } => Some(client.counters()),
-            _ => None,
-        }
+    fn take_fault_deltas(&mut self) -> Vec<ShardFaultDelta> {
+        self.source.take_fault_deltas()
     }
 
-    /// The home shard of one request's history (shard-aware batching): the shard owning
-    /// most of its rows, ties toward the lower shard id. Matches
-    /// [`ShardPlan::home_shard`] on cluster stores so request groups land where their
-    /// sub-batches would route anyway.
-    fn home_shard(&self, history: &[u32]) -> usize {
-        fn majority(shards: impl Iterator<Item = usize>, num_shards: usize) -> usize {
-            let mut counts = vec![0u64; num_shards.max(1)];
-            let last = counts.len() - 1;
-            for shard in shards {
-                counts[shard.min(last)] += 1;
-            }
-            counts
-                .iter()
-                .enumerate()
-                .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))
-                .map(|(shard, _)| shard)
-                .unwrap_or(0)
-        }
-        match self {
-            ItemStore::Fp32 { shards, .. } => majority(
-                history.iter().map(|&row| shards.shard_of(row)),
-                shards.num_shards(),
-            ),
-            ItemStore::Int8 { shards, .. } => majority(
-                history.iter().map(|&row| shards.shard_of(row)),
-                shards.num_shards(),
-            ),
-            ItemStore::ClusterFp32 { client, .. } => {
-                client.plan().home_shard(history.iter().copied())
-            }
-            ItemStore::ClusterInt8 { client, .. } => {
-                client.plan().home_shard(history.iter().copied())
-            }
-        }
+    fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
+        self.source.cluster_counters()
+    }
+
+    fn catalogue_resident_bytes(&self) -> Option<usize> {
+        self.source.catalogue_resident_bytes()
     }
 
     /// Pool every request's history into a dense f32 profile (`batch.len() × dim`).
@@ -371,48 +347,75 @@ impl ItemStore {
         dense: &mut [f32],
         trace: Option<&mut PoolTrace>,
     ) -> Result<Vec<u32>, ServeError> {
-        match self {
-            ItemStore::Fp32 { shards, cache } => pool_profiles(shards, cache, batch, dense, trace),
-            ItemStore::ClusterFp32 { client, cache } => {
-                pool_profiles(client, cache, batch, dense, trace)
-            }
-            ItemStore::Int8 {
-                shards,
-                cache,
-                params,
-            } => pool_dense_int8(shards, cache, *params, batch, dense, trace),
-            ItemStore::ClusterInt8 {
-                client,
-                cache,
-                params,
-            } => pool_dense_int8(client, cache, *params, batch, dense, trace),
-        }
+        T::pool_into_dense(dense, self.params, |profiles| {
+            pool_profiles(&mut self.source, &mut self.cache, batch, profiles, trace)
+        })
     }
 }
 
-/// The int8 variant of dense pooling: pool quantized profiles, then dequantize into
-/// the model's f32 input.
-fn pool_dense_int8<S: RowSource<i8>>(
-    source: &mut S,
-    cache: &mut HotRowCache<i8>,
-    params: QuantizationParams,
-    batch: &PoolingBatch,
-    dense: &mut [f32],
-    trace: Option<&mut PoolTrace>,
-) -> Result<Vec<u32>, ServeError> {
-    let mut profiles = vec![0i8; batch.len() * source.dim()];
-    let missing = pool_profiles(source, cache, batch, &mut profiles, trace)?;
-    if dense.len() != profiles.len() {
-        return Err(ServeError::ShapeMismatch {
-            what: "dense profile buffer",
-            expected: profiles.len(),
-            actual: dense.len(),
-        });
+/// Where an engine's rows live.
+enum Backend<'a> {
+    /// The in-process [`ShardedTable`].
+    InProcess,
+    /// A shard cluster: node threads in this process, or shard-node processes behind
+    /// `sockets`.
+    Cluster {
+        cluster: &'a ClusterConfig,
+        histogram: Option<&'a [u64]>,
+        sockets: Option<&'a [PathBuf]>,
+        options: ClusterOptions,
+    },
+}
+
+/// Build the item store over `arena` on `backend`: the router cache, plus the
+/// per-shard-node caches when the cache sits at the shards.
+fn build_store<T: Served>(
+    arena: RowArena<T>,
+    params: Option<QuantizationParams>,
+    config: &ServeConfig,
+    backend: Backend<'_>,
+) -> Result<(Box<dyn Store>, Option<ClusterHandle>), ServeError> {
+    let cache = HotRowCache::with_policy(
+        config.router_cache_capacity(),
+        arena.dim(),
+        config.cache_policy,
+    );
+    match backend {
+        Backend::InProcess => {
+            let mut shards = ShardedTable::from_arena(arena, config.shards)?;
+            if let Some(node_cache) = config.node_cache_config(shards.num_shards()) {
+                shards.install_node_caches(node_cache.capacity, node_cache.policy);
+            }
+            let store = ItemStore {
+                source: shards,
+                cache,
+                params,
+            };
+            Ok((Box::new(store), None))
+        }
+        Backend::Cluster {
+            cluster,
+            histogram,
+            sockets,
+            mut options,
+        } => {
+            let plan = ShardPlan::build(
+                arena.rows(),
+                cluster.shards,
+                cluster.placement,
+                cluster.hot_replicas,
+                histogram,
+            )?;
+            options.node_cache = config.node_cache_config(plan.num_shards());
+            let (client, handle) = start_cluster(&arena, plan, cluster, sockets, options)?;
+            let store = ItemStore {
+                source: client,
+                cache,
+                params,
+            };
+            Ok((Box::new(store), Some(handle)))
+        }
     }
-    for (out, &quantized) in dense.iter_mut().zip(profiles.iter()) {
-        *out = params.dequantize(quantized);
-    }
-    Ok(missing)
 }
 
 /// Pool a CSR batch through the cache and a row source (in-process shards or the
@@ -533,7 +536,7 @@ fn pool_profiles<T: Lane, S: RowSource<T>>(
 #[derive(Debug, Clone)]
 pub struct ServeEngine {
     model: Dlrm,
-    store: ItemStore,
+    store: Box<dyn Store>,
     lsh: RandomHyperplaneLsh,
     tcam: CmaArray,
     config: ServeConfig,
@@ -564,53 +567,7 @@ impl ServeEngine {
         items: &EmbeddingTable,
         config: ServeConfig,
     ) -> Result<Self, ServeError> {
-        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
-        let store = match config.precision {
-            ServePrecision::Fp32 => {
-                let mut shards = shard_embedding(items, config.shards)?;
-                shards.install_node_caches(
-                    config.node_cache_capacity(shards.num_shards()),
-                    config.cache_policy,
-                );
-                ItemStore::Fp32 {
-                    cache: HotRowCache::with_policy(
-                        config.router_cache_capacity(),
-                        items.dim(),
-                        config.cache_policy,
-                    ),
-                    shards,
-                }
-            }
-            ServePrecision::Int8 => {
-                // Quantize once, then move the buffer straight into the shared arena:
-                // the sharded view aliases that single allocation, no per-shard copies.
-                let (arena, params) = QuantizedTable::from_table(items).into_arena();
-                let mut shards = ShardedTable::from_arena(arena, config.shards)?;
-                shards.install_node_caches(
-                    config.node_cache_capacity(shards.num_shards()),
-                    config.cache_policy,
-                );
-                ItemStore::Int8 {
-                    params,
-                    cache: HotRowCache::with_policy(
-                        config.router_cache_capacity(),
-                        items.dim(),
-                        config.cache_policy,
-                    ),
-                    shards,
-                }
-            }
-        };
-        Ok(Self {
-            model,
-            store,
-            lsh,
-            tcam,
-            config,
-            telemetry: ServeTelemetry::default(),
-            tracer: None,
-            metrics: None,
-        })
+        Self::assemble(model, items, config, Backend::InProcess).map(|(engine, _)| engine)
     }
 
     /// Build an engine whose catalogue lives on a multi-node shard cluster instead of
@@ -646,7 +603,7 @@ impl ServeEngine {
     }
 
     /// [`ServeEngine::new_clustered`] with [`ClusterOptions`]: chaos fault injection
-    /// into the shard nodes and/or an injected clock for the router's resilient path.
+    /// into the shard nodes and/or an injected clock for the router's gather loop.
     ///
     /// # Errors
     ///
@@ -659,64 +616,13 @@ impl ServeEngine {
         histogram: Option<&[u64]>,
         options: ClusterOptions,
     ) -> Result<(Self, ClusterHandle), ServeError> {
-        cluster.validate()?;
-        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
-        let plan = ShardPlan::build(
-            items.rows(),
-            cluster.shards,
-            cluster.placement,
-            cluster.hot_replicas,
+        let backend = Backend::Cluster {
+            cluster,
             histogram,
-        )?;
-        let mut options = options;
-        options.node_cache = config.node_cache_config(plan.num_shards());
-        let (store, handle) = match config.precision {
-            ServePrecision::Fp32 => {
-                let arena = RowArena::from_rows(items.iter_rows(), items.dim())
-                    .expect("embedding table rows are uniform");
-                let (client, handle) = spawn_cluster_with(&arena, plan, cluster, options)?;
-                (
-                    ItemStore::ClusterFp32 {
-                        client,
-                        cache: HotRowCache::with_policy(
-                            config.router_cache_capacity(),
-                            items.dim(),
-                            config.cache_policy,
-                        ),
-                    },
-                    handle,
-                )
-            }
-            ServePrecision::Int8 => {
-                let (arena, params) = QuantizedTable::from_table(items).into_arena();
-                let (client, handle) = spawn_cluster_with(&arena, plan, cluster, options)?;
-                (
-                    ItemStore::ClusterInt8 {
-                        client,
-                        cache: HotRowCache::with_policy(
-                            config.router_cache_capacity(),
-                            items.dim(),
-                            config.cache_policy,
-                        ),
-                        params,
-                    },
-                    handle,
-                )
-            }
+            sockets: None,
+            options,
         };
-        Ok((
-            Self {
-                model,
-                store,
-                lsh,
-                tcam,
-                config,
-                telemetry: ServeTelemetry::default(),
-                tracer: None,
-                metrics: None,
-            },
-            handle,
-        ))
+        Self::assemble(model, items, config, backend).map(Self::with_handle)
     }
 
     /// A clustered engine whose shards are separate *processes*: each socket path must
@@ -736,70 +642,64 @@ impl ServeEngine {
         config: ServeConfig,
         cluster: &ClusterConfig,
         histogram: Option<&[u64]>,
-        sockets: &[std::path::PathBuf],
+        sockets: &[PathBuf],
         options: ClusterOptions,
     ) -> Result<(Self, ClusterHandle), ServeError> {
-        cluster.validate()?;
-        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
-        let plan = ShardPlan::build(
-            items.rows(),
-            cluster.shards,
-            cluster.placement,
-            cluster.hot_replicas,
+        let backend = Backend::Cluster {
+            cluster,
             histogram,
-        )?;
-        let mut options = options;
-        options.node_cache = config.node_cache_config(plan.num_shards());
+            sockets: Some(sockets),
+            options,
+        };
+        Self::assemble(model, items, config, backend).map(Self::with_handle)
+    }
+
+    /// The one construction path: the candidate filter, the catalogue in the served
+    /// precision (f32 rows copied once into an arena, int8 rows quantized once and
+    /// moved in), then the item store over the chosen backend.
+    fn assemble(
+        model: Dlrm,
+        items: &EmbeddingTable,
+        config: ServeConfig,
+        backend: Backend<'_>,
+    ) -> Result<(Self, Option<ClusterHandle>), ServeError> {
+        if let Backend::Cluster { cluster, .. } = &backend {
+            cluster.validate()?;
+        }
+        let (lsh, tcam) = Self::build_filter(&model, items, &config)?;
         let (store, handle) = match config.precision {
             ServePrecision::Fp32 => {
                 let arena = RowArena::from_rows(items.iter_rows(), items.dim())
                     .expect("embedding table rows are uniform");
-                let (client, handle) = connect_cluster(&arena, plan, cluster, sockets, options)?;
-                (
-                    ItemStore::ClusterFp32 {
-                        client,
-                        cache: HotRowCache::with_policy(
-                            config.router_cache_capacity(),
-                            items.dim(),
-                            config.cache_policy,
-                        ),
-                    },
-                    handle,
-                )
+                build_store(arena, None, &config, backend)?
             }
             ServePrecision::Int8 => {
                 let (arena, params) = QuantizedTable::from_table(items).into_arena();
-                let (client, handle) = connect_cluster(&arena, plan, cluster, sockets, options)?;
-                (
-                    ItemStore::ClusterInt8 {
-                        client,
-                        cache: HotRowCache::with_policy(
-                            config.router_cache_capacity(),
-                            items.dim(),
-                            config.cache_policy,
-                        ),
-                        params,
-                    },
-                    handle,
-                )
+                build_store(arena, Some(params), &config, backend)?
             }
         };
-        Ok((
-            Self {
-                model,
-                store,
-                lsh,
-                tcam,
-                config,
-                telemetry: ServeTelemetry::default(),
-                tracer: None,
-                metrics: None,
-            },
-            handle,
-        ))
+        let engine = Self {
+            model,
+            store,
+            lsh,
+            tcam,
+            config,
+            telemetry: ServeTelemetry::default(),
+            tracer: None,
+            metrics: None,
+        };
+        Ok((engine, handle))
     }
 
-    /// The candidate-filtering stage shared by both constructors: the LSH hasher plus a
+    /// Unwrap the handle a cluster backend always returns.
+    fn with_handle((engine, handle): (Self, Option<ClusterHandle>)) -> (Self, ClusterHandle) {
+        (
+            engine,
+            handle.expect("a cluster backend returns its handle"),
+        )
+    }
+
+    /// The candidate-filtering stage of every engine: the LSH hasher plus a
     /// TCAM loaded with every item row's signature.
     fn build_filter(
         model: &Dlrm,
@@ -848,11 +748,7 @@ impl ServeEngine {
     /// memory-accounting figure the paper-scale study reports. `None` when the
     /// catalogue lives on a cluster's shard nodes rather than in-process.
     pub fn catalogue_resident_bytes(&self) -> Option<usize> {
-        match &self.store {
-            ItemStore::Fp32 { shards, .. } => Some(shards.arena().resident_bytes()),
-            ItemStore::Int8 { shards, .. } => Some(shards.arena().resident_bytes()),
-            ItemStore::ClusterFp32 { .. } | ItemStore::ClusterInt8 { .. } => None,
-        }
+        self.store.catalogue_resident_bytes()
     }
 
     /// Cache counters accumulated so far.
@@ -862,7 +758,9 @@ impl ServeEngine {
 
     /// Shard-cluster counters (None when serving from the in-process table).
     pub fn cluster_stats(&self) -> Option<ClusterStats> {
-        self.store.cluster_stats()
+        self.store
+            .cluster_counters()
+            .map(|counters| counters.snapshot())
     }
 
     pub(crate) fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
@@ -879,7 +777,7 @@ impl ServeEngine {
     /// worker's engine clone so per-worker counters start from zero.
     pub fn reset_stats(&mut self) {
         self.telemetry = ServeTelemetry::default();
-        self.store.reset_cache_stats();
+        self.store.reset_stats();
         if let Some(tracer) = &mut self.tracer {
             tracer.reset();
         }
@@ -1236,7 +1134,7 @@ impl ServeEngine {
             telemetry: self.telemetry.clone(),
             cache: self.store.cache_stats(),
             runtime: None,
-            cluster: self.store.cluster_stats(),
+            cluster: self.cluster_stats(),
             metrics: self.metrics.as_ref().map(MetricsScraper::series),
         };
         let trace = self.take_trace_log();

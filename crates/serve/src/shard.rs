@@ -17,12 +17,14 @@
 
 use std::sync::{Arc, Mutex};
 
+use imars_fabric::cost::{Cost, CostBreakdown};
 use imars_recsys::arena::RowArena;
 use imars_recsys::batch::{par_runs, worker_count, PoolingBatch};
 use imars_recsys::embedding::EmbeddingTable;
 use imars_recsys::quantization::QuantizedTable;
 
 use crate::cache::{CachePolicy, CacheStats, HotRowCache};
+use crate::cluster::ClusterCounters;
 use crate::error::ServeError;
 
 /// A row element that can be pool-accumulated. `f32` uses plain addition (the
@@ -105,10 +107,19 @@ impl Lane for i8 {
 /// The engine's abstraction over a row store. The in-process [`ShardedTable`] and the
 /// multi-node [`ClusterClient`](crate::cluster::ClusterClient) both implement it, so
 /// the cache/pooling layer above is byte-for-byte the same code on both paths — which
-/// is what makes the single-node and clustered outputs bit-identical.
+/// is what makes the single-node and clustered outputs bit-identical. The in-process
+/// table is the degenerate cluster: every cluster-only query has a default that says
+/// "no cluster" (no interconnect cost, no counters, no faults).
 pub(crate) trait RowSource<T: Lane> {
     /// Elements per row.
     fn dim(&self) -> usize;
+
+    /// Number of shards the rows are partitioned across.
+    fn num_shards(&self) -> usize;
+
+    /// The home shard of one request's history (shard-aware batching): the shard
+    /// owning most of its rows, ties toward the lower shard id.
+    fn home_shard(&self, history: &[u32]) -> usize;
 
     /// Validate that every index addresses a valid row.
     fn check_indices(&self, indices: &[u32]) -> Result<(), ServeError>;
@@ -133,7 +144,7 @@ pub(crate) trait RowSource<T: Lane> {
     /// records dispatch/reply/timeout/retry/hedge/promotion events stamped on `clock`.
     /// Default is a no-op — only the cluster client has sub-request structure worth
     /// tracing; the in-process [`ShardedTable`] fetch is a single flat copy.
-    fn trace_arm(&mut self, _clock: &std::sync::Arc<dyn crate::clock::Clock>) {}
+    fn trace_arm(&mut self, _clock: &Arc<dyn crate::clock::Clock>) {}
 
     /// Take the fetch events recorded since [`RowSource::trace_arm`], disarming
     /// tracing. Empty for sources that do not record events.
@@ -163,6 +174,32 @@ pub(crate) trait RowSource<T: Lane> {
     /// router-side pooling path skips its own cache probes.
     fn node_cached(&self) -> bool {
         false
+    }
+
+    /// The per-shard-node cache counters summed across shards (all zero without node
+    /// caches).
+    fn node_cache_stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
+
+    /// Zero the source's serving counters (resident cache rows are kept).
+    fn reset_stats(&mut self) {}
+
+    /// Drain the interconnect cost accumulated since the last call (zero when no row
+    /// crosses a bus).
+    fn take_interconnect(&mut self) -> (Cost, CostBreakdown) {
+        (Cost::ZERO, CostBreakdown::new())
+    }
+
+    /// The shared cluster counters (`None` for an in-process source).
+    fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
+        None
+    }
+
+    /// Bytes of item-row storage resident in this process (`None` when the rows
+    /// live on shard nodes elsewhere).
+    fn catalogue_resident_bytes(&self) -> Option<usize> {
+        None
     }
 }
 
@@ -300,14 +337,6 @@ impl<T: Lane> ShardedTable<T> {
         self.node_caches.is_some()
     }
 
-    /// Counters of one shard's node cache (`None` without node caches or for an
-    /// out-of-range shard).
-    pub fn node_cache_stats_of(&self, shard: usize) -> Option<CacheStats> {
-        let caches = self.node_caches.as_ref()?;
-        let cache = caches.get(shard)?;
-        Some(cache.lock().expect("node cache lock").stats())
-    }
-
     /// Aggregated counters of the per-shard-node caches (all-zero when none are
     /// installed).
     pub fn node_cache_stats(&self) -> CacheStats {
@@ -407,20 +436,15 @@ impl<T: Lane> ShardedTable<T> {
         debug_assert!(work
             .iter()
             .all(|(_, chunk)| chunk.len() == self.arena.dim()));
+        let fetch = |row: u32, chunk: &mut [T]| match &self.node_caches {
+            Some(caches) => self.fetch_via_cache(&caches[self.shard_of(row)], row, chunk),
+            None => chunk.copy_from_slice(self.row(row)),
+        };
         if worker_count(work.len()) <= 1 || self.num_shards <= 1 {
             // The serial path visits rows in flat order, so each shard's cache sees
             // the same subsequence it would from its dedicated worker below.
-            match &self.node_caches {
-                Some(caches) => {
-                    for (row, chunk) in work {
-                        self.fetch_via_cache(&caches[self.shard_of(row)], row, chunk);
-                    }
-                }
-                None => {
-                    for (row, chunk) in work {
-                        chunk.copy_from_slice(self.row(row));
-                    }
-                }
+            for (row, chunk) in work {
+                fetch(row, chunk);
             }
             return;
         }
@@ -430,20 +454,10 @@ impl<T: Lane> ShardedTable<T> {
             per_shard[self.shard_of(row)].push((row, chunk));
         }
         std::thread::scope(|scope| {
-            for (shard, jobs) in per_shard.into_iter().enumerate() {
-                if jobs.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || match &self.node_caches {
-                    Some(caches) => {
-                        for (row, chunk) in jobs {
-                            self.fetch_via_cache(&caches[shard], row, chunk);
-                        }
-                    }
-                    None => {
-                        for (row, chunk) in jobs {
-                            chunk.copy_from_slice(self.row(row));
-                        }
+            for jobs in per_shard.into_iter().filter(|jobs| !jobs.is_empty()) {
+                scope.spawn(|| {
+                    for (row, chunk) in jobs {
+                        fetch(row, chunk);
                     }
                 });
             }
@@ -492,6 +506,23 @@ impl<T: Lane> RowSource<T> for ShardedTable<T> {
         ShardedTable::dim(self)
     }
 
+    fn num_shards(&self) -> usize {
+        ShardedTable::num_shards(self)
+    }
+
+    fn home_shard(&self, history: &[u32]) -> usize {
+        let mut counts = vec![0u64; self.num_shards.max(1)];
+        let last = counts.len() - 1;
+        for &row in history {
+            counts[self.shard_of(row).min(last)] += 1;
+        }
+        counts
+            .iter()
+            .enumerate()
+            .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))
+            .map_or(0, |(shard, _)| shard)
+    }
+
     fn check_indices(&self, indices: &[u32]) -> Result<(), ServeError> {
         ShardedTable::check_indices(self, indices)
     }
@@ -507,6 +538,18 @@ impl<T: Lane> RowSource<T> for ShardedTable<T> {
 
     fn node_cached(&self) -> bool {
         ShardedTable::node_cached(self)
+    }
+
+    fn node_cache_stats(&self) -> CacheStats {
+        ShardedTable::node_cache_stats(self)
+    }
+
+    fn reset_stats(&mut self) {
+        self.reset_node_cache_stats();
+    }
+
+    fn catalogue_resident_bytes(&self) -> Option<usize> {
+        Some(self.arena.resident_bytes())
     }
 }
 

@@ -484,7 +484,8 @@ pub struct ClusterStats {
     /// Node-cache misses per shard — rows the node actually read from its resident
     /// storage (the CMA RAM reads the modeled cost charges).
     pub shard_cache_misses: Vec<u64>,
-    /// Sub-request attempts that blew their deadline (resilient path only).
+    /// Sub-request attempts that blew their deadline (only a router with a
+    /// `ResilienceConfig` has one).
     pub timeouts: u64,
     /// Re-dispatches of timed-out or failed sub-requests.
     pub retries: u64,
@@ -534,7 +535,7 @@ impl ClusterStats {
         self.shard_rejections.iter().sum()
     }
 
-    /// Whether the resilient path ever intervened (timed out, retried, hedged,
+    /// Whether the router's fault policy ever intervened (timed out, retried, hedged,
     /// promoted or degraded anything).
     pub fn any_faults_handled(&self) -> bool {
         self.timeouts + self.retries + self.hedges + self.promotions + self.missing_rows > 0
@@ -737,8 +738,8 @@ impl ServeReport {
         s
     }
 
-    /// JSON summary in the bench-harness style (hand-rolled: the vendored serde has no
-    /// serializer backend).
+    /// JSON summary in the bench-harness style (hand-rolled: the workspace builds
+    /// offline with no serialization crate).
     pub fn to_json(&self) -> String {
         let t = &self.telemetry;
         let mut json = String::new();
@@ -982,8 +983,8 @@ impl ServeReport {
 
 /// Escape a string for embedding in hand-rolled JSON: backslash, quote, and every
 /// control character in `\u{0000}`–`\u{001f}` (newlines and tabs would otherwise emit
-/// invalid JSON).
-pub(crate) fn escape(s: &str) -> String {
+/// invalid JSON). The workspace's one JSON string escaper.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -4,7 +4,7 @@
 //! Each sampled query gets a [`QueryTrace`]: a fixed sequence of stage [`Span`]s (batch
 //! formation, queue wait, cache lookup, cluster fetch, NNS filtering, MLP ranking), one
 //! child [`FetchSpan`] per cluster sub-request annotated with its shard, and the fault
-//! [`FetchEvent`]s (timeout/retry/promotion/degrade) the resilient router took on the
+//! [`FetchEvent`]s (timeout/retry/promotion/degrade) the cluster router took on the
 //! batch's behalf. Traces are collected into a bounded, head-retained [`TraceLog`] with
 //! seeded head-based sampling — whether a query is sampled depends only on
 //! `(seed, query id)`, never on which worker served it — so on a

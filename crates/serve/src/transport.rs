@@ -51,7 +51,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::cache::{CachePolicy, CacheStats, HotRowCache};
-use crate::cluster::{ClusterCounters, SubResponse};
+use crate::clock::{Clock, WallClock};
+use crate::cluster::{read_rows, ClusterCounters, SubResponse};
 use crate::queue::{BoundedQueue, Pop, PushError};
 use crate::shard::Lane;
 use crate::trace::NodeSpan;
@@ -316,8 +317,15 @@ impl NodeStorage {
         let elem_bytes = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")) as usize;
         let dim = u32::from_le_bytes(payload[4..8].try_into().expect("4 bytes")) as usize;
         let count = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")) as usize;
-        let row_bytes = elem_bytes * dim;
-        if row_bytes == 0 || payload.len() != 12 + count * (4 + row_bytes) {
+        // Every size comes off the wire: a wrapped product must not pass the length
+        // check and then slice past the payload.
+        let row_bytes = elem_bytes.checked_mul(dim).ok_or_else(bad)?;
+        let expected = row_bytes
+            .checked_add(4)
+            .and_then(|entry| entry.checked_mul(count))
+            .and_then(|body| body.checked_add(12))
+            .ok_or_else(bad)?;
+        if row_bytes == 0 || payload.len() != expected {
             return Err(bad());
         }
         let mut rows = HashMap::with_capacity(count);
@@ -465,66 +473,23 @@ fn serve_connection(
                 // lock, cache probe, storage read) on its wall clock and ships it
                 // back on a `NODE_SPAN` frame ahead of the rows.
                 let traced = frame.payload.first().copied().unwrap_or(0) != 0;
-                let rows_payload = frame.payload.get(1..).unwrap_or(&[]);
-                let fetch_started = traced.then(std::time::Instant::now);
+                let ids = frame.payload.get(1..).unwrap_or(&[]).chunks_exact(4);
+                let clock = traced.then(WallClock::new);
                 let mut span = NodeSpan::default();
                 let (response, stats_delta) = {
                     let storage = storage.lock().expect("node storage lock");
                     let mut node_cache = cache.lock().expect("node cache lock");
-                    if let Some(started) = fetch_started {
-                        span.queue_wait_us = started.elapsed().as_secs_f64() * 1e6;
-                    }
-                    let mut cache = node_cache.armed(storage.row_bytes);
-                    let before = cache.as_deref().map(|cache| cache.stats());
-                    let mut payload =
-                        Vec::with_capacity(rows_payload.len() / 4 * storage.row_bytes);
-                    let mut missing = false;
-                    for id in rows_payload.chunks_exact(4) {
-                        let row = u32::from_le_bytes(id.try_into().expect("4 bytes"));
-                        let probe_started = fetch_started.map(|_| std::time::Instant::now());
-                        let cached = cache.as_deref_mut().and_then(|cache| {
-                            cache
-                                .lookup(row)
-                                .map(|bytes| payload.extend_from_slice(bytes))
-                        });
-                        if let Some(started) = probe_started {
-                            span.cache_probe_us += started.elapsed().as_secs_f64() * 1e6;
-                        }
-                        if cached.is_some() {
-                            continue;
-                        }
-                        let read_started = fetch_started.map(|_| std::time::Instant::now());
-                        match storage.rows.get(&row) {
-                            Some(bytes) => {
-                                payload.extend_from_slice(bytes);
-                                if let Some(cache) = cache.as_deref_mut() {
-                                    cache.insert(row, bytes);
-                                }
-                            }
-                            None => {
-                                missing = true;
-                                break;
-                            }
-                        }
-                        if let Some(started) = read_started {
-                            span.storage_read_us += started.elapsed().as_secs_f64() * 1e6;
-                        }
-                    }
-                    let delta = before
-                        .zip(cache.as_deref())
-                        .map(|(before, cache)| cache.stats().delta_since(&before));
-                    if missing {
-                        (
-                            Frame {
-                                kind: KIND_ERROR,
-                                shard: frame.shard,
-                                tag: frame.tag,
-                                payload: b"row not resident".to_vec(),
-                            },
-                            delta,
-                        )
-                    } else {
-                        (
+                    span.queue_wait_us = clock.as_ref().map_or(0.0, WallClock::now_us);
+                    let mut payload = Vec::with_capacity(ids.len() * storage.row_bytes);
+                    match read_rows(
+                        ids.map(|id| u32::from_le_bytes(id.try_into().expect("4 bytes"))),
+                        node_cache.armed(storage.row_bytes),
+                        |row| storage.rows.get(&row).map(Vec::as_slice),
+                        clock.as_ref().map(|clock| clock as &dyn Clock),
+                        &mut span,
+                        &mut payload,
+                    ) {
+                        Ok(delta) => (
                             Frame {
                                 kind: KIND_ROWS,
                                 shard: frame.shard,
@@ -532,7 +497,18 @@ fn serve_connection(
                                 payload,
                             },
                             delta,
-                        )
+                        ),
+                        // A non-resident row fails the whole fetch; the router's link
+                        // closes on the error frame.
+                        Err(_) => (
+                            Frame {
+                                kind: KIND_ERROR,
+                                shard: frame.shard,
+                                tag: frame.tag,
+                                payload: b"row not resident".to_vec(),
+                            },
+                            None,
+                        ),
                     }
                 };
                 // STATS travels *before* the data frame: the link's reader folds the
@@ -940,6 +916,19 @@ mod tests {
         assert_eq!(decoded.tag, 77);
         assert_eq!(decode_node_span(&decoded.payload), Some(span));
         assert_eq!(decode_node_span(&decoded.payload[..16]), None);
+    }
+
+    /// `count * (4 + row_bytes)` wraps to zero for these sizes (`4 + row_bytes` is
+    /// 2^48, times 2^16 rows), so an unchecked length test would accept a 12-byte
+    /// payload and then slice past its end.
+    #[test]
+    fn a_load_whose_sizes_overflow_is_rejected() {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&33_554_428u32.to_le_bytes());
+        payload.extend_from_slice(&8_388_609u32.to_le_bytes());
+        payload.extend_from_slice(&65_536u32.to_le_bytes());
+        let error = NodeStorage::decode(&payload).expect_err("overflowing sizes");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
