@@ -183,6 +183,26 @@ impl CacheStats {
         }
     }
 
+    /// The combined counters of this router-side block in front of the per-shard-node
+    /// caches' block `node`. A router miss that a node cache served is *not* a storage
+    /// read, so node hits are subtracted back out of the router's misses — `misses`
+    /// stays "rows actually read from shard storage", which is exactly what the GPCiM
+    /// cost model charges a CMA RAM read for. With node caches off the node side is
+    /// all-zero and this is the router block itself.
+    #[must_use]
+    pub(crate) fn with_node_caches(&self, node: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits + node.hits,
+            coalesced: self.coalesced + node.coalesced,
+            // Saturating: replica/hedge duplicates can make node lookups outnumber
+            // router misses on a faulted cluster.
+            misses: self.misses.saturating_sub(node.hits),
+            insertions: self.insertions + node.insertions,
+            evictions: self.evictions + node.evictions,
+            rejections: self.rejections + node.rejections,
+        }
+    }
+
     /// Fraction of lookups served without a row fetch — resident hits plus in-flight
     /// coalescing (0.0 for an unused cache).
     pub fn hit_rate(&self) -> f64 {

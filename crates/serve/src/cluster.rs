@@ -1753,6 +1753,15 @@ mod tests {
         EmbeddingTable::new(NUM_ITEMS, ITEM_DIM, 31).unwrap()
     }
 
+    /// 64-bit FNV-1a of a rendered artifact: the byte-determinism tests pin these
+    /// digests, so a refactor must leave the bytes themselves unchanged, not merely
+    /// reproducible.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     fn arena_of(table: &EmbeddingTable) -> RowArena<f32> {
         RowArena::from_rows(table.iter_rows(), table.dim()).unwrap()
     }
@@ -2050,11 +2059,92 @@ mod tests {
         }
     }
 
+    /// Per-shard-node caches are shared by every worker clone of a threaded runtime,
+    /// so their counters must enter the report once, not once per worker. Two workers
+    /// over node-cached shards, in-process and clustered: the report's hits are the
+    /// node caches' own hits, and every lookup is accounted for exactly as in the
+    /// simulated run.
+    #[test]
+    fn threaded_reports_count_shared_node_caches_once() {
+        use crate::cache::CachePlacement;
+        use crate::runtime::{replay_threaded, ThreadedReplayConfig};
+        let table = items();
+        let workload = ReplayWorkload::generate(&replay_config(600)).unwrap();
+        let config = ServeConfig {
+            cache_placement: CachePlacement::Shard,
+            ..serve_config(64, ServePrecision::Fp32)
+        };
+        let model = || Dlrm::new(DlrmConfig::tiny()).unwrap();
+        let simulated = ServeEngine::new(model(), &table, config.clone())
+            .unwrap()
+            .replay(&workload)
+            .unwrap();
+        let threaded = |engine: &ServeEngine| {
+            let replay = ThreadedReplayConfig {
+                runtime: RuntimeConfig::new(2, 1024).unwrap(),
+                speedup: f64::INFINITY,
+                shed_on_full: false,
+            };
+            replay_threaded(engine, &workload, &replay).unwrap()
+        };
+
+        // In-process shards: the caller's engine shares the node caches with the
+        // workers and has no router-cache traffic of its own.
+        let engine = ServeEngine::new(model(), &table, config.clone()).unwrap();
+        let outcome = threaded(&engine);
+        let node = engine.cache_stats();
+        assert!(node.hits > 0, "the Zipf head hits the node caches");
+        assert_eq!(outcome.report.cache.hits, node.hits);
+        assert_eq!(outcome.report.cache.insertions, node.insertions);
+        assert_eq!(
+            outcome.report.cache.lookups(),
+            simulated.report.cache.lookups()
+        );
+
+        let (engine, handle) =
+            ServeEngine::new_clustered(model(), &table, config, &cluster_config(2, 1), None)
+                .unwrap();
+        let outcome = threaded(&engine);
+        let stats = outcome.report.cluster.clone().expect("cluster stats");
+        assert!(stats.shard_cache_hits.iter().sum::<u64>() > 0);
+        assert_eq!(
+            outcome.report.cache.hits,
+            stats.shard_cache_hits.iter().sum::<u64>()
+        );
+        assert_eq!(
+            outcome.report.cache.lookups(),
+            simulated.report.cache.lookups()
+        );
+        handle.shutdown().unwrap();
+    }
+
+    /// `(Chrome-trace JSON, slow log)` digests of the manual-clock trace run below,
+    /// per shard count (the artifacts carry no scores, so both precisions share them).
+    fn trace_digests(shards: usize) -> (u64, u64) {
+        match shards {
+            1 => (0xfdd2_a3df_321c_624b, 0x4df3_0aaa_5a64_457d),
+            2 => (0x2c14_6d29_8307_e6fa, 0xf19b_4750_02bf_8923),
+            8 => (0x4d54_c7be_851e_2f5d, 0xc776_f043_a4ab_cd97),
+            _ => unreachable!("no digest pinned for {shards} shards"),
+        }
+    }
+
+    /// `(series JSON, exposition)` digests of the manual-clock metrics run below.
+    fn metrics_digests(shards: usize) -> (u64, u64) {
+        match shards {
+            1 => (0xf0c4_86a6_811b_c56c, 0xf426_a752_9460_1194),
+            2 => (0xd10f_4f6f_1495_0e2b, 0x0d7a_3083_0523_9c44),
+            8 => (0x5b18_caa7_a7a4_2d81, 0xe327_8cfd_d6fa_d184),
+            _ => unreachable!("no digest pinned for {shards} shards"),
+        }
+    }
+
     /// The trace-determinism satellite: on a frozen manual clock the rendered trace
     /// JSON and slow-query log are a pure function of `(seed, workload)` — repeated
     /// runs are byte-identical, and so are runs at different runtime worker counts,
-    /// at every shard width and in both precisions. Cache off: per-worker cache state
-    /// would make the batch-level hit counts scheduling-dependent.
+    /// at every shard width and in both precisions, and their bytes match the digests
+    /// pinned above. Cache off: per-worker cache state would make the batch-level hit
+    /// counts scheduling-dependent.
     #[test]
     fn cluster_traces_are_byte_deterministic_on_a_manual_clock() {
         use crate::trace::TraceConfig;
@@ -2106,6 +2196,11 @@ mod tests {
                     "worker count must not perturb traces ({precision:?}, {shards} shards)"
                 );
                 assert_eq!(slow_a, slow_c);
+                assert_eq!(
+                    (fnv1a(&json_a), fnv1a(&slow_a)),
+                    trace_digests(shards),
+                    "trace bytes changed ({precision:?}, {shards} shards)"
+                );
             }
         }
     }
@@ -2113,7 +2208,8 @@ mod tests {
     /// The metrics-determinism satellite: on a frozen manual clock the scraped
     /// time-series JSON and the Prometheus exposition are a pure function of
     /// `(seed, workload)` — byte-identical across repeated runs and across 1/4
-    /// runtime workers, at 1/2/8 shards and in both precisions. Cache off, like the
+    /// runtime workers, at 1/2/8 shards and in both precisions, and equal to the
+    /// pinned digests. Cache off, like the
     /// trace test: per-worker cache state would make per-batch hit deltas
     /// scheduling-dependent.
     #[test]
@@ -2176,6 +2272,11 @@ mod tests {
                     "worker count must not perturb the series ({precision:?}, {shards} shards)"
                 );
                 assert_eq!(text_a, text_c);
+                assert_eq!(
+                    (fnv1a(&series_a), fnv1a(&text_a)),
+                    metrics_digests(shards),
+                    "series or exposition bytes changed ({precision:?}, {shards} shards)"
+                );
             }
         }
     }

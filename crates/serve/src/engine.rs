@@ -47,8 +47,8 @@ use crate::metrics::{MetricsConfig, MetricsScraper, ShardFaultDelta};
 use crate::placement::ShardPlan;
 use crate::replay::ReplayWorkload;
 use crate::shard::{Lane, RowSource, ShardedTable};
-use crate::telemetry::{ClusterStats, ServeReport, ServeTelemetry};
-use crate::trace::{BatchScratch, PoolTrace, TraceConfig, TraceLog, Tracer};
+use crate::telemetry::{ClusterStats, RuntimeStats, ServeReport, ServeTelemetry};
+use crate::trace::{BatchTrace, TraceConfig, TraceLog, Tracer};
 use imars_fabric::cost::CostBreakdown;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -241,9 +241,9 @@ trait Store: std::fmt::Debug + Send + Sync {
 
     fn home_shard(&self, history: &[u32]) -> usize;
 
-    fn cache_stats(&self) -> CacheStats;
-
     fn router_cache_stats(&self) -> CacheStats;
+
+    fn node_cache_stats(&self) -> CacheStats;
 
     fn reset_stats(&mut self);
 
@@ -259,7 +259,7 @@ trait Store: std::fmt::Debug + Send + Sync {
         &mut self,
         batch: &PoolingBatch,
         dense: &mut [f32],
-        trace: Option<&mut PoolTrace>,
+        trace: Option<&mut BatchTrace>,
     ) -> Result<Vec<u32>, ServeError>;
 }
 
@@ -286,33 +286,15 @@ where
         self.source.home_shard(history)
     }
 
-    /// The run's combined cache counters: the router cache merged with whatever the
-    /// per-shard-node caches absorbed. A router miss that a node cache served is *not*
-    /// a storage read, so node hits are subtracted back out of the router's misses —
-    /// `misses` stays "rows actually read from shard storage", which is exactly what
-    /// the GPCiM cost model charges a CMA RAM read for. With node caches off the node
-    /// side is all-zero and this degenerates to the router cache's own counters.
-    fn cache_stats(&self) -> CacheStats {
-        let router = self.cache.stats();
-        let node = self.source.node_cache_stats();
-        CacheStats {
-            hits: router.hits + node.hits,
-            coalesced: router.coalesced + node.coalesced,
-            // Saturating: replica/hedge duplicates can make node lookups outnumber
-            // router misses on a faulted cluster.
-            misses: router.misses.saturating_sub(node.hits),
-            insertions: router.insertions + node.insertions,
-            evictions: router.evictions + node.evictions,
-            rejections: router.rejections + node.rejections,
-        }
-    }
-
-    /// Router-side cache counters only. The metrics plane's per-window cache
-    /// attribution reads these instead of [`Store::cache_stats`]: the node-cache
-    /// counters are shared atomics that other worker clones mutate concurrently, so
-    /// folding them into a window would make the per-window split nondeterministic.
+    /// This clone's router-cache counters.
     fn router_cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// The per-shard-node caches' counters: state shared by every clone of the
+    /// source, which other worker clones mutate concurrently.
+    fn node_cache_stats(&self) -> CacheStats {
+        self.source.node_cache_stats()
     }
 
     fn reset_stats(&mut self) {
@@ -345,7 +327,7 @@ where
         &mut self,
         batch: &PoolingBatch,
         dense: &mut [f32],
-        trace: Option<&mut PoolTrace>,
+        trace: Option<&mut BatchTrace>,
     ) -> Result<Vec<u32>, ServeError> {
         T::pool_into_dense(dense, self.params, |profiles| {
             pool_profiles(&mut self.source, &mut self.cache, batch, profiles, trace)
@@ -436,7 +418,7 @@ fn pool_profiles<T: Lane, S: RowSource<T>>(
     cache: &mut HotRowCache<T>,
     batch: &PoolingBatch,
     profiles: &mut [T],
-    mut trace: Option<&mut PoolTrace>,
+    mut trace: Option<&mut BatchTrace>,
 ) -> Result<Vec<u32>, ServeError> {
     let dim = source.dim();
     if profiles.len() != batch.len() * dim {
@@ -453,15 +435,11 @@ fn pool_profiles<T: Lane, S: RowSource<T>>(
         // capacity-0 cache as the miss-coalescing ledger, so each unique row is
         // fetched (and counted at the nodes) exactly once per batch.
         if let Some(trace) = trace.as_deref_mut() {
-            trace.misses = batch.total_lookups() as u64;
-            trace.fetch_begin_us = trace.clock.now_us();
-            source.trace_arm(&trace.clock);
+            trace.begin_fetch(source);
         }
         source.pool_direct(batch, profiles)?;
-        if let Some(trace) = trace.as_deref_mut() {
-            trace.fetch_end_us = trace.clock.now_us();
-            trace.node_spans = source.trace_drain_node_spans();
-            trace.events = source.trace_drain();
+        if let Some(trace) = trace {
+            trace.end_fetch(source);
         }
         cache.record_misses(batch.total_lookups() as u64);
         return Ok(source.take_missing());
@@ -497,18 +475,12 @@ fn pool_profiles<T: Lane, S: RowSource<T>>(
             }
         }
         if let Some(trace) = trace.as_deref_mut() {
-            trace.fetch_begin_us = trace.clock.now_us();
-            source.trace_arm(&trace.clock);
+            trace.begin_fetch(source);
         }
         source.fetch_rows(misses)?;
     }
     if let Some(trace) = trace {
-        trace.fetch_end_us = trace.clock.now_us();
-        trace.node_spans = source.trace_drain_node_spans();
-        trace.events = source.trace_drain();
-        trace.misses = fetched.len() as u64;
-        trace.coalesced = coalesced.len() as u64;
-        trace.hits = batch.total_lookups() as u64 - trace.misses - trace.coalesced;
+        trace.end_fetch(source);
     }
     let missing = source.take_missing();
     for &(destination, source) in &coalesced {
@@ -530,6 +502,40 @@ fn pool_profiles<T: Lane, S: RowSource<T>>(
     }
     crate::shard::pool_from_staging(&staging, dim, batch.offsets(), profiles);
     Ok(missing)
+}
+
+/// Everything one served batch did, built once by `ServeEngine::serve_batch` and
+/// folded once — by the completion path into telemetry, metrics and traces, or by a
+/// bare [`ServeEngine::process_batch`] into the telemetry counters alone.
+#[derive(Debug, Default)]
+pub(crate) struct BatchRecord {
+    /// The responses, in request order (one per query), latencies not yet stamped.
+    pub responses: Vec<ServeResponse>,
+    /// Sum of the per-query candidate counts the filter passed.
+    pub candidates_sum: u64,
+    /// Queries whose pooled history touched a zero-filled row.
+    pub degraded_queries: u64,
+    /// Row lookups a degraded cluster zero-filled.
+    pub missing_row_lookups: u64,
+    /// Rows read from shard storage, each charged one CMA RAM read: the change of the
+    /// combined cache counters' `misses` across the batch.
+    pub storage_reads: usize,
+    /// In-memory adds: one per pooled row beyond each request's first.
+    pub adds: usize,
+    /// RSC-bus cost drained from the row source (zero in-process).
+    pub interconnect: Cost,
+    /// Per-component split of `interconnect`.
+    pub interconnect_breakdown: CostBreakdown,
+    /// The TCAM search charge.
+    pub search: Cost,
+    /// Per-component split of `search`.
+    pub search_breakdown: CostBreakdown,
+    /// This batch's router-cache traffic.
+    pub cache: CacheStats,
+    /// Per-shard fault deltas drained from the row source (empty when none).
+    pub faults: Vec<ShardFaultDelta>,
+    /// Stage marks, fetch events and node spans — traced batches only.
+    pub trace: Option<BatchTrace>,
 }
 
 /// The serving engine: model + item store + TCAM filter + telemetry.
@@ -751,9 +757,21 @@ impl ServeEngine {
         self.store.catalogue_resident_bytes()
     }
 
-    /// Cache counters accumulated so far.
+    /// Cache counters accumulated so far: this engine's router cache combined with
+    /// the per-shard-node caches, `misses` counting rows read from shard storage.
     pub fn cache_stats(&self) -> CacheStats {
-        self.store.cache_stats()
+        self.router_cache_stats()
+            .with_node_caches(&self.node_cache_stats())
+    }
+
+    /// This clone's router-cache counters alone.
+    pub(crate) fn router_cache_stats(&self) -> CacheStats {
+        self.store.router_cache_stats()
+    }
+
+    /// The per-shard-node cache counters, shared by every clone of this engine.
+    pub(crate) fn node_cache_stats(&self) -> CacheStats {
+        self.store.node_cache_stats()
     }
 
     /// Shard-cluster counters (None when serving from the in-process table).
@@ -763,8 +781,29 @@ impl ServeEngine {
             .map(|counters| counters.snapshot())
     }
 
-    pub(crate) fn cluster_counters(&self) -> Option<Arc<ClusterCounters>> {
-        self.store.cluster_counters()
+    /// A report of a run on this engine's configuration and cluster: `telemetry`,
+    /// `cache`, `runtime` and `metrics` are the run's, merged over its workers.
+    pub(crate) fn report(
+        &self,
+        name: &str,
+        telemetry: ServeTelemetry,
+        cache: CacheStats,
+        runtime: Option<RuntimeStats>,
+        metrics: Option<&MetricsScraper>,
+    ) -> ServeReport {
+        ServeReport {
+            name: name.to_string(),
+            policy: self.config.policy,
+            shards: self.store.num_shards(),
+            cache_capacity: self.config.cache_capacity,
+            cache_policy: self.config.cache_policy.label().to_string(),
+            cache_placement: self.config.cache_placement.label().to_string(),
+            telemetry,
+            cache,
+            runtime,
+            cluster: self.cluster_stats(),
+            metrics: metrics.map(MetricsScraper::series),
+        }
     }
 
     /// Serving counters accumulated so far.
@@ -809,43 +848,6 @@ impl ServeEngine {
         self.metrics.take()
     }
 
-    /// The router-cache marker to diff a batch's cache traffic against —
-    /// `None` (free) when metrics are off.
-    pub(crate) fn metrics_cache_marker(&self) -> Option<CacheStats> {
-        self.metrics
-            .as_ref()
-            .map(|_| self.store.router_cache_stats())
-    }
-
-    /// Record one served batch on the metrics plane: `arrivals` are the batch's
-    /// request arrival stamps, `latencies` the per-request end-to-end latencies, and
-    /// `marker` the pre-batch cache marker from
-    /// [`ServeEngine::metrics_cache_marker`]. No-op when metrics are off.
-    pub(crate) fn record_metrics_batch(
-        &mut self,
-        marker: Option<CacheStats>,
-        arrivals: &[f64],
-        completed_us: f64,
-        latencies: &[f64],
-    ) {
-        let Some(before) = marker else { return };
-        let after = self.store.router_cache_stats();
-        let faults = self.store.take_fault_deltas();
-        let Some(scraper) = &mut self.metrics else {
-            return;
-        };
-        for &at_us in arrivals {
-            scraper.record_arrival(at_us);
-        }
-        scraper.record_batch(
-            completed_us,
-            latencies,
-            after.hits.saturating_sub(before.hits),
-            after.misses.saturating_sub(before.misses),
-            &faults,
-        );
-    }
-
     /// Turn on per-query tracing with `config` (a `sample_every` of 0 turns it off
     /// again). Sampled queries get full span trees in
     /// [`ReplayOutcome::trace`], per-stage histograms land in
@@ -877,21 +879,6 @@ impl ServeEngine {
             .unwrap_or_default()
     }
 
-    /// Finalize the last traced batch on the measured timeline (the threaded path):
-    /// `queries` pairs each request id with its submit stamp and `end_us` is the
-    /// measured completion, all on the runtime's injected clock.
-    pub(crate) fn finalize_trace(&mut self, queries: &[(u64, f64)], trigger_us: f64, end_us: f64) {
-        if let Some(tracer) = &mut self.tracer {
-            tracer.finalize_batch(
-                queries,
-                trigger_us,
-                None,
-                end_us,
-                &mut self.telemetry.stages,
-            );
-        }
-    }
-
     /// Pool the batch's profiles, grouping requests by home shard first when
     /// [`ServeConfig::shard_batching`] is on: each group pools as its own sub-batch, so
     /// its row fetch routes overwhelmingly to one shard node and the cross-shard hops
@@ -903,12 +890,10 @@ impl ServeEngine {
         requests: &[ServeRequest],
         batch: &PoolingBatch,
         dense: &mut [f32],
-        mut pool_trace: Option<&mut PoolTrace>,
+        mut trace: Option<&mut BatchTrace>,
     ) -> Result<Vec<u32>, ServeError> {
         if !self.config.shard_batching || self.store.num_shards() <= 1 {
-            return self
-                .store
-                .pool_dense(batch, dense, pool_trace.as_deref_mut());
+            return self.store.pool_dense(batch, dense, trace);
         }
         let dense_dim = self.model.config().num_dense_features;
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.store.num_shards()];
@@ -916,7 +901,6 @@ impl ServeEngine {
             groups[self.store.home_shard(&request.history)].push(index);
         }
         let mut missing = Vec::new();
-        let mut first_fetch = true;
         for group in groups.iter().filter(|group| !group.is_empty()) {
             let histories: Vec<&[u32]> = group
                 .iter()
@@ -924,26 +908,11 @@ impl ServeEngine {
                 .collect();
             let sub_batch = PoolingBatch::from_requests(&histories);
             let mut sub_dense = vec![0.0f32; group.len() * dense_dim];
-            let mut sub_trace = pool_trace
-                .as_ref()
-                .map(|trace| PoolTrace::new(trace.clock.clone()));
             missing.extend(self.store.pool_dense(
                 &sub_batch,
                 &mut sub_dense,
-                sub_trace.as_mut(),
+                trace.as_deref_mut(),
             )?);
-            if let (Some(trace), Some(sub)) = (pool_trace.as_deref_mut(), sub_trace) {
-                if first_fetch {
-                    trace.fetch_begin_us = sub.fetch_begin_us;
-                    first_fetch = false;
-                }
-                trace.fetch_end_us = sub.fetch_end_us;
-                trace.hits += sub.hits;
-                trace.misses += sub.misses;
-                trace.coalesced += sub.coalesced;
-                trace.events.extend(sub.events);
-                trace.node_spans.extend(sub.node_spans);
-            }
             for (&index, profile) in group.iter().zip(sub_dense.chunks(dense_dim)) {
                 dense[index * dense_dim..(index + 1) * dense_dim].copy_from_slice(profile);
             }
@@ -970,61 +939,59 @@ impl ServeEngine {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
+        let record = self.serve_batch(requests)?;
+        self.charge(&record);
+        Ok(record.responses)
+    }
+
+    /// Serve one non-empty batch and describe it in a [`BatchRecord`]; nothing is
+    /// folded into telemetry, metrics or traces until the record is completed.
+    pub(crate) fn serve_batch(
+        &mut self,
+        requests: &[ServeRequest],
+    ) -> Result<BatchRecord, ServeError> {
         let dense_dim = self.model.config().num_dense_features;
         let histories: Vec<&[u32]> = requests.iter().map(|r| r.history.as_slice()).collect();
         let batch = PoolingBatch::from_requests(&histories);
 
         // Per-batch trace gate: only a batch containing a sampled query pays any
         // tracing work — every other batch takes the exact untraced code path.
-        let mut pool_trace = match &self.tracer {
+        let mut trace = match &self.tracer {
             Some(tracer) if tracer.wants(requests.iter().map(|r| r.id)) => {
-                Some(PoolTrace::new(tracer.clock()))
+                Some(BatchTrace::new(tracer.clock()))
             }
             _ => None,
         };
-        let pool_begin_us = pool_trace.as_ref().map(|t| t.clock.now_us());
 
-        // 1. Profile pooling through cache + shards, with the GPCiM charge: one CMA RAM
-        //    read per cache miss (hits are served from the buffer next to the compute),
-        //    one in-memory add per accumulated row beyond each request's first.
-        let misses_before = self.store.cache_stats().misses;
+        // 1. Profile pooling through cache + shards. The GPCiM charge is one CMA RAM
+        //    read per row read from shard storage (hits are served from the buffer
+        //    next to the compute) and one in-memory add per accumulated row beyond
+        //    each request's first.
+        let router_before = self.store.router_cache_stats();
+        let reads_before = self.cache_stats().misses;
         let mut dense = vec![0.0f32; requests.len() * dense_dim];
-        let missing = self.pool_batch_dense(requests, &batch, &mut dense, pool_trace.as_mut())?;
-        let pool_end_us = pool_trace.as_ref().map(|t| t.clock.now_us());
-        if !missing.is_empty() {
-            // Degraded-mode accounting: every zero-filled row, and every query whose
-            // pooled history touched one, is visible in the replay report.
-            self.telemetry.missing_row_lookups += missing.len() as u64;
-            let degraded: std::collections::HashSet<u32> = missing.iter().copied().collect();
-            for i in 0..batch.len() {
-                if batch.request(i).iter().any(|row| degraded.contains(row)) {
-                    self.telemetry.degraded_queries += 1;
-                }
-            }
+        let missing = self.pool_batch_dense(requests, &batch, &mut dense, trace.as_mut())?;
+        if let Some(trace) = &mut trace {
+            trace.pool_end_us = trace.clock.now_us();
         }
-        let misses = self
-            .store
-            .cache_stats()
-            .misses
-            .saturating_sub(misses_before) as usize;
-        let read = Cost::from_fom(self.tcam.fom().cma.read);
-        let add = Cost::from_fom(self.tcam.fom().cma.add);
-        let adds: usize = (0..batch.len())
+        // Degraded-mode accounting: every zero-filled row, and every query whose
+        // pooled history touched one, is visible in the replay report.
+        let degraded_queries = if missing.is_empty() {
+            0
+        } else {
+            let degraded: std::collections::HashSet<u32> = missing.iter().copied().collect();
+            (0..batch.len())
+                .filter(|&i| batch.request(i).iter().any(|row| degraded.contains(row)))
+                .count() as u64
+        };
+        let storage_reads = self.cache_stats().misses.saturating_sub(reads_before) as usize;
+        let cache = self.store.router_cache_stats().delta_since(&router_before);
+        let adds = (0..batch.len())
             .map(|i| batch.request(i).len().saturating_sub(1))
             .sum();
-        self.telemetry
-            .cost
-            .charge(CostComponent::CmaRead, read.repeat(misses));
-        self.telemetry
-            .cost
-            .charge(CostComponent::CmaAdd, add.repeat(adds));
-        self.telemetry.total_cost += read.repeat(misses).serial(add.repeat(adds));
         // Cross-shard fetches pay the RSC bus (multi-node stores only).
         let (interconnect, interconnect_breakdown) = self.store.take_interconnect();
-        if interconnect != Cost::ZERO {
-            self.telemetry.cost.merge(&interconnect_breakdown);
-            self.telemetry.total_cost += interconnect;
-        }
+        let faults = self.store.take_fault_deltas();
 
         // 2. Candidate filtering: LSH signatures matched in TCAM mode, one serialized
         //    search per query.
@@ -1035,9 +1002,9 @@ impl ServeEngine {
         let search = self
             .tcam
             .search_batch(&signatures, self.config.search_radius)?;
-        let filter_end_us = pool_trace.as_ref().map(|t| t.clock.now_us());
-        self.telemetry.cost.merge(&search.breakdown);
-        self.telemetry.total_cost += search.cost;
+        if let Some(trace) = &mut trace {
+            trace.filter_end_us = trace.clock.now_us();
+        }
 
         // 3. Ranking: the profile is the dense input of the DLRM sample.
         let samples: Vec<DlrmSample> = requests
@@ -1049,36 +1016,18 @@ impl ServeEngine {
             })
             .collect();
         let scores = self.model.predict_batch(&samples)?;
-        if let Some(pool) = pool_trace.take() {
-            let scratch = BatchScratch {
-                pool_begin_us: pool_begin_us.unwrap_or(0.0),
-                pool_end_us: pool_end_us.unwrap_or(0.0),
-                filter_end_us: filter_end_us.unwrap_or(0.0),
-                rank_end_us: pool.clock.now_us(),
-                fetch_begin_us: pool.fetch_begin_us,
-                fetch_end_us: pool.fetch_end_us,
-                hits: pool.hits,
-                misses: pool.misses,
-                coalesced: pool.coalesced,
-                events: pool.events,
-                node_spans: pool.node_spans,
-            };
-            self.tracer
-                .as_mut()
-                .expect("pool trace implies a tracer")
-                .stash(scratch);
+        if let Some(trace) = &mut trace {
+            trace.rank_end_us = trace.clock.now_us();
         }
 
-        self.telemetry.queries += requests.len() as u64;
-        self.telemetry.batches += 1;
-        self.telemetry.batch_size_sum += requests.len() as u64;
+        let mut candidates_sum = 0;
         let responses = requests
             .iter()
             .zip(scores)
-            .zip(search.value)
+            .zip(&search.value)
             .map(|((request, score), matches)| {
                 let candidates = matches.len().min(request.query.candidates);
-                self.telemetry.candidates_sum += candidates as u64;
+                candidates_sum += candidates as u64;
                 ServeResponse {
                     id: request.id,
                     score,
@@ -1087,7 +1036,94 @@ impl ServeEngine {
                 }
             })
             .collect();
-        Ok(responses)
+        Ok(BatchRecord {
+            responses,
+            candidates_sum,
+            degraded_queries,
+            missing_row_lookups: missing.len() as u64,
+            storage_reads,
+            adds,
+            interconnect,
+            interconnect_breakdown,
+            search: search.cost,
+            search_breakdown: search.breakdown,
+            cache,
+            faults,
+            trace,
+        })
+    }
+
+    /// Fold a record's counters and modeled cost into the telemetry. The cost terms
+    /// compose in a fixed order — read + add serially, then the interconnect, then the
+    /// search — so the f64 sums are reproducible bit for bit.
+    fn charge(&mut self, record: &BatchRecord) {
+        let fom = self.tcam.fom().cma;
+        let read = Cost::from_fom(fom.read).repeat(record.storage_reads);
+        let add = Cost::from_fom(fom.add).repeat(record.adds);
+        let telemetry = &mut self.telemetry;
+        telemetry.cost.charge(CostComponent::CmaRead, read);
+        telemetry.cost.charge(CostComponent::CmaAdd, add);
+        telemetry.total_cost += read.serial(add);
+        if record.interconnect != Cost::ZERO {
+            telemetry.cost.merge(&record.interconnect_breakdown);
+            telemetry.total_cost += record.interconnect;
+        }
+        telemetry.cost.merge(&record.search_breakdown);
+        telemetry.total_cost += record.search;
+        telemetry.queries += record.responses.len() as u64;
+        telemetry.batches += 1;
+        telemetry.candidates_sum += record.candidates_sum;
+        telemetry.degraded_queries += record.degraded_queries;
+        telemetry.missing_row_lookups += record.missing_row_lookups;
+    }
+
+    /// The one completion path of a served batch, shared by the simulated replay and
+    /// the threaded runtime's workers. Stamps each response's latency (`completed_us`
+    /// minus its start from `starts_us`: arrival on the simulated path, submission on the
+    /// threaded one) and folds the record into the telemetry (counters, cost, latency
+    /// histogram, busy time, makespan), the metrics plane when armed, and the tracer
+    /// when the batch was traced. `virtual_start_us` re-anchors the measured trace
+    /// marks onto the simulated timeline; `service_us` is the measured service time.
+    pub(crate) fn complete_batch(
+        &mut self,
+        mut record: BatchRecord,
+        starts_us: impl Iterator<Item = f64> + Clone,
+        trigger_us: f64,
+        virtual_start_us: Option<f64>,
+        completed_us: f64,
+        service_us: f64,
+    ) -> Vec<ServeResponse> {
+        self.charge(&record);
+        self.telemetry.busy_us += service_us;
+        self.telemetry.makespan_us = self.telemetry.makespan_us.max(completed_us);
+        for (response, start_us) in record.responses.iter_mut().zip(starts_us.clone()) {
+            response.latency_us = (completed_us - start_us).max(0.0);
+            self.telemetry.latency.record(response.latency_us);
+        }
+        if let Some(scraper) = &mut self.metrics {
+            for at_us in starts_us.clone() {
+                scraper.record_arrival(at_us);
+            }
+            let latencies: Vec<f64> = record.responses.iter().map(|r| r.latency_us).collect();
+            scraper.record_batch(
+                completed_us,
+                &latencies,
+                record.cache.hits,
+                record.cache.misses,
+                &record.faults,
+            );
+        }
+        if let Some(tracer) = &mut self.tracer {
+            tracer.finalize_batch(
+                &mut record,
+                starts_us,
+                trigger_us,
+                virtual_start_us,
+                completed_us,
+                &mut self.telemetry.stages,
+            );
+        }
+        record.responses
     }
 
     /// Replay a timed trace through the dynamic batcher and the engine.
@@ -1124,19 +1160,13 @@ impl ServeEngine {
                 .expect("pending batch has a deadline");
             self.serve_flushed(batch, &mut engine_free_us, &mut responses)?;
         }
-        let report = ServeReport {
-            name: "serve_replay".to_string(),
-            policy: self.config.policy,
-            shards: self.store.num_shards(),
-            cache_capacity: self.config.cache_capacity,
-            cache_policy: self.config.cache_policy.label().to_string(),
-            cache_placement: self.config.cache_placement.label().to_string(),
-            telemetry: self.telemetry.clone(),
-            cache: self.store.cache_stats(),
-            runtime: None,
-            cluster: self.cluster_stats(),
-            metrics: self.metrics.as_ref().map(MetricsScraper::series),
-        };
+        let report = self.report(
+            "serve_replay",
+            self.telemetry.clone(),
+            self.cache_stats(),
+            None,
+            self.metrics.as_ref(),
+        );
         let trace = self.take_trace_log();
         Ok(ReplayOutcome {
             responses,
@@ -1152,40 +1182,21 @@ impl ServeEngine {
         out: &mut Vec<ServeResponse>,
     ) -> Result<(), ServeError> {
         let start_us = engine_free_us.max(batch.trigger_us);
-        let marker = self.metrics_cache_marker();
         let started = Instant::now();
-        let mut responses = self.process_batch(&batch.requests)?;
+        let record = self.serve_batch(&batch.requests)?;
         let service_us = started.elapsed().as_secs_f64() * 1e6;
         let completion_us = start_us + service_us;
         *engine_free_us = completion_us;
-        self.telemetry.busy_us += service_us;
-        self.telemetry.makespan_us = completion_us;
-        if marker.is_some() {
-            let arrivals: Vec<f64> = batch.requests.iter().map(|r| r.arrival_us).collect();
-            let latencies: Vec<f64> = arrivals.iter().map(|&at| completion_us - at).collect();
-            self.record_metrics_batch(marker, &arrivals, completion_us, &latencies);
-        }
-        if let Some(tracer) = &mut self.tracer {
-            // Re-anchor the batch's measured stage marks onto the virtual timeline:
-            // pooling starts at the simulated service start.
-            let queries: Vec<(u64, f64)> = batch
-                .requests
-                .iter()
-                .map(|request| (request.id, request.arrival_us))
-                .collect();
-            tracer.finalize_batch(
-                &queries,
-                batch.trigger_us,
-                Some(start_us),
-                completion_us,
-                &mut self.telemetry.stages,
-            );
-        }
-        for (response, request) in responses.iter_mut().zip(batch.requests.iter()) {
-            response.latency_us = completion_us - request.arrival_us;
-            self.telemetry.latency.record(response.latency_us);
-        }
-        out.append(&mut responses);
+        // Re-anchor the batch's measured stage marks onto the virtual timeline:
+        // pooling starts at the simulated service start.
+        out.extend(self.complete_batch(
+            record,
+            batch.requests.iter().map(|r| r.arrival_us),
+            batch.trigger_us,
+            Some(start_us),
+            completion_us,
+            service_us,
+        ));
         Ok(())
     }
 }

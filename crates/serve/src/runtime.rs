@@ -39,7 +39,7 @@ use crate::error::ServeError;
 use crate::metrics::MetricsScraper;
 use crate::queue::{BoundedQueue, Pop, PushError};
 use crate::replay::ReplayWorkload;
-use crate::telemetry::{LatencyHistogram, RuntimeStats, ServeReport, ServeTelemetry};
+use crate::telemetry::{RuntimeStats, ServeTelemetry};
 use crate::trace::TraceLog;
 
 /// Longest the batcher waits for a request when a batch is pending — bounds how stale
@@ -128,17 +128,13 @@ struct BatcherExit {
     stall_us: f64,
 }
 
-/// What each worker thread hands back when it exits.
+/// What each worker thread hands back when it exits: its responses and its engine
+/// clone, whose telemetry, router cache, trace log and metrics scraper hold
+/// everything the worker's batches recorded.
 #[derive(Debug)]
 struct WorkerOutput {
     responses: Vec<ServeResponse>,
-    latency: LatencyHistogram,
-    telemetry: ServeTelemetry,
-    cache: CacheStats,
-    busy_us: f64,
-    last_completion_us: f64,
-    trace: TraceLog,
-    metrics: Option<MetricsScraper>,
+    engine: ServeEngine,
 }
 
 /// A running threaded serving pipeline: submit requests, then [`ServeRuntime::shutdown`]
@@ -153,15 +149,6 @@ pub struct ServeRuntime {
     workers: Vec<JoinHandle<Result<WorkerOutput, ServeError>>>,
     config: RuntimeConfig,
     start_us: f64,
-    report_shards: usize,
-    report_cache_capacity: usize,
-    report_cache_policy: String,
-    report_cache_placement: String,
-    report_policy: crate::batcher::BatchPolicy,
-    /// Shared cluster counters when the engine serves from a shard cluster; the
-    /// shutdown report snapshots them once (they are shared across worker clones, so
-    /// per-worker merging would double-count).
-    report_cluster: Option<std::sync::Arc<crate::cluster::ClusterCounters>>,
 }
 
 impl ServeRuntime {
@@ -218,12 +205,6 @@ impl ServeRuntime {
             shared,
             batcher: Some(batcher),
             workers,
-            report_shards: engine.num_shards(),
-            report_cache_capacity: engine.config().cache_capacity,
-            report_cache_policy: engine.config().cache_policy.label().to_string(),
-            report_cache_placement: engine.config().cache_placement.label().to_string(),
-            report_policy: policy,
-            report_cluster: engine.cluster_counters(),
             config,
             start_us,
         })
@@ -342,26 +323,26 @@ impl ServeRuntime {
         }
 
         let mut telemetry = ServeTelemetry::default();
-        let mut cache = CacheStats::default();
+        let mut router_cache = CacheStats::default();
         let mut responses = Vec::new();
         let mut trace = TraceLog::default();
         let mut worker_busy_us = Vec::with_capacity(outputs.len());
         let mut last_completion_us = self.start_us;
         let mut metrics: Option<MetricsScraper> = None;
-        for output in outputs {
-            telemetry.merge(&output.telemetry);
-            telemetry.latency.merge(&output.latency);
-            telemetry.busy_us += output.busy_us;
-            cache.merge(&output.cache);
-            worker_busy_us.push(output.busy_us);
-            last_completion_us = last_completion_us.max(output.last_completion_us);
-            responses.extend(output.responses);
+        for output in &mut outputs {
+            let engine = &mut output.engine;
+            let worker = engine.telemetry();
+            telemetry.merge(worker);
+            worker_busy_us.push(worker.busy_us);
+            last_completion_us = last_completion_us.max(worker.makespan_us);
+            router_cache.merge(&engine.router_cache_stats());
+            responses.append(&mut output.responses);
             // Head retention commutes with the union, so the merged log equals the
             // single-worker log for the same trace (pinned in the trace tests).
-            trace.merge(&output.trace);
+            trace.merge(&engine.take_trace_log());
             // Window merging is commutative too: events land in windows by their
             // timestamps, so the merged series is independent of worker count.
-            if let Some(worker_metrics) = output.metrics {
+            if let Some(worker_metrics) = engine.take_metrics() {
                 match metrics.as_mut() {
                     Some(merged) => merged.merge(&worker_metrics),
                     None => metrics = Some(worker_metrics),
@@ -384,22 +365,21 @@ impl ServeRuntime {
             worker_busy_us,
             wall_us,
         };
-        let report = ServeReport {
-            name: "serve_threaded".to_string(),
-            policy: self.report_policy,
-            shards: self.report_shards,
-            cache_capacity: self.report_cache_capacity,
-            cache_policy: self.report_cache_policy.clone(),
-            cache_placement: self.report_cache_placement.clone(),
+        // Every worker's engine carries the run's configuration, and shares the
+        // per-shard-node caches and cluster counters with the others: read those
+        // once, next to the sum of the workers' own router caches.
+        let engine = &outputs
+            .first()
+            .expect("a runtime has at least one worker")
+            .engine;
+        let cache = router_cache.with_node_caches(&engine.node_cache_stats());
+        let report = engine.report(
+            "serve_threaded",
             telemetry,
             cache,
-            runtime: Some(runtime),
-            cluster: self
-                .report_cluster
-                .as_ref()
-                .map(|counters| counters.snapshot()),
-            metrics: metrics.as_ref().map(MetricsScraper::series),
-        };
+            Some(runtime),
+            metrics.as_ref(),
+        );
         Ok(ReplayOutcome {
             responses,
             report,
@@ -511,8 +491,8 @@ impl Drop for CloseQueuesOnPanic<'_> {
     }
 }
 
-/// A worker thread: execute flushed batches on an owned engine clone, stamping measured
-/// per-request latency (completion minus submit) into a local histogram. On an engine
+/// A worker thread: execute flushed batches on an owned engine clone, completing each
+/// with its measured latencies (completion minus submit) on `clock`. On an engine
 /// error (or panic, via [`CloseQueuesOnPanic`]), close both queues so producers and the
 /// batcher unblock instead of deadlocking, and hand the error to `shutdown`.
 fn run_worker(
@@ -523,70 +503,45 @@ fn run_worker(
     shared: &SharedCounters,
 ) -> Result<WorkerOutput, ServeError> {
     let _panic_guard = CloseQueuesOnPanic { requests, batches };
-    let mut latency = LatencyHistogram::new();
     let mut responses = Vec::new();
-    let mut busy_us = 0.0f64;
-    let mut last_completion_us = 0.0f64;
     loop {
         let batch = match batches.pop() {
             Pop::Item(batch) => batch,
             Pop::Closed => break,
             Pop::TimedOut => continue,
         };
-        let trigger_us = batch.trigger_us;
         let (batch_requests, stamps): (Vec<ServeRequest>, Vec<f64>) = batch
             .requests
             .into_iter()
             .map(|timed| (timed.request, timed.submitted_us))
             .unzip();
-        let metrics_marker = engine.metrics_cache_marker();
         let service_started = Instant::now();
-        let mut batch_responses = match engine.process_batch(&batch_requests) {
-            Ok(batch_responses) => batch_responses,
+        let record = match engine.serve_batch(&batch_requests) {
+            Ok(record) => record,
             Err(error) => {
                 requests.close();
                 batches.close();
                 return Err(error);
             }
         };
-        busy_us += service_started.elapsed().as_secs_f64() * 1e6;
+        let service_us = service_started.elapsed().as_secs_f64() * 1e6;
         let completed_us = clock.now_us();
-        last_completion_us = last_completion_us.max(completed_us);
-        if engine.trace_config().is_some() {
-            let queries: Vec<(u64, f64)> = batch_requests
-                .iter()
-                .zip(stamps.iter())
-                .map(|(request, &submitted_us)| (request.id, submitted_us))
-                .collect();
-            engine.finalize_trace(&queries, trigger_us, completed_us);
-        }
-        for (response, submitted_us) in batch_responses.iter_mut().zip(&stamps) {
-            response.latency_us = (completed_us - submitted_us).max(0.0);
-            latency.record(response.latency_us);
-        }
-        if metrics_marker.is_some() {
-            // Arrivals are the submit stamps (the measured-latency origin), so the
-            // per-window queue depth reflects what producers actually experienced.
-            let latencies: Vec<f64> = batch_responses.iter().map(|r| r.latency_us).collect();
-            engine.record_metrics_batch(metrics_marker, &stamps, completed_us, &latencies);
-        }
+        // Arrivals are the submit stamps (the measured-latency origin), so the
+        // per-window queue depth reflects what producers actually experienced.
+        let batch_responses = engine.complete_batch(
+            record,
+            stamps.iter().copied(),
+            batch.trigger_us,
+            None,
+            completed_us,
+            service_us,
+        );
         shared
             .completed
             .fetch_add(batch_responses.len() as u64, Ordering::Relaxed);
         responses.extend(batch_responses);
     }
-    let trace = engine.take_trace_log();
-    let metrics = engine.take_metrics();
-    Ok(WorkerOutput {
-        responses,
-        latency,
-        telemetry: engine.telemetry().clone(),
-        cache: engine.cache_stats(),
-        busy_us,
-        last_completion_us,
-        trace,
-        metrics,
-    })
+    Ok(WorkerOutput { responses, engine })
 }
 
 /// Configuration of a threaded replay run.

@@ -276,8 +276,6 @@ pub struct ServeTelemetry {
     pub queries: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Sum of batch sizes (mean batch size = `batch_size_sum / batches`).
-    pub batch_size_sum: u64,
     /// Sum of per-query candidate counts from the filtering stage.
     pub candidates_sum: u64,
     /// Total measured service time, microseconds (engine busy time).
@@ -326,7 +324,7 @@ impl ServeTelemetry {
         if self.batches == 0 {
             0.0
         } else {
-            self.batch_size_sum as f64 / self.batches as f64
+            self.queries as f64 / self.batches as f64
         }
     }
 
@@ -373,7 +371,6 @@ impl ServeTelemetry {
         self.latency.merge(&other.latency);
         self.queries += other.queries;
         self.batches += other.batches;
-        self.batch_size_sum += other.batch_size_sum;
         self.candidates_sum += other.candidates_sum;
         self.busy_us += other.busy_us;
         self.makespan_us = self.makespan_us.max(other.makespan_us);
@@ -1116,7 +1113,6 @@ mod tests {
         let mut t = ServeTelemetry {
             queries: 1000,
             batches: 40,
-            batch_size_sum: 1000,
             candidates_sum: 5000,
             busy_us: 50_000.0,
             makespan_us: 100_000.0,
@@ -1143,7 +1139,6 @@ mod tests {
         }
         telemetry.queries = 100;
         telemetry.batches = 10;
-        telemetry.batch_size_sum = 100;
         telemetry.makespan_us = 10_000.0;
         telemetry.busy_us = 5_000.0;
         let report = ServeReport {
@@ -1221,7 +1216,6 @@ mod tests {
         let mut a = ServeTelemetry {
             queries: 10,
             batches: 2,
-            batch_size_sum: 10,
             candidates_sum: 30,
             busy_us: 100.0,
             makespan_us: 1000.0,
@@ -1231,7 +1225,6 @@ mod tests {
         let mut b = ServeTelemetry {
             queries: 5,
             batches: 1,
-            batch_size_sum: 5,
             candidates_sum: 10,
             busy_us: 40.0,
             makespan_us: 2500.0,
@@ -1241,7 +1234,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.queries, 15);
         assert_eq!(a.batches, 3);
-        assert_eq!(a.batch_size_sum, 15);
         assert_eq!(a.candidates_sum, 40);
         assert!((a.busy_us - 140.0).abs() < 1e-12);
         assert_eq!(a.makespan_us, 2500.0);

@@ -21,6 +21,8 @@
 use std::sync::Arc;
 
 use crate::clock::{Clock, WallClock};
+use crate::engine::BatchRecord;
+use crate::shard::{Lane, RowSource};
 use crate::telemetry::{escape, StageBreakdown};
 
 /// Configuration of the tracing layer. Tracing is off unless
@@ -271,79 +273,73 @@ impl QueryTrace {
     }
 }
 
-/// Pooling-phase trace capture, threaded down through
-/// [`RowSource`](crate::shard::RowSource) so the cluster router can attach its events.
+/// Measured marks of one traced batch, all on the tracer's clock: the stage
+/// boundaries the engine stamps while serving the batch, plus the fetch window and
+/// the router's events, threaded down through [`RowSource`](crate::shard::RowSource)
+/// so the cluster router can attach them. Carried by the batch's [`BatchRecord`]
+/// until the completion path finalizes it.
 #[derive(Debug)]
-pub(crate) struct PoolTrace {
-    /// The tracer's clock: fetch events are stamped on this timeline so a frozen
-    /// manual clock freezes them too.
+pub(crate) struct BatchTrace {
+    /// The tracer's clock: marks and fetch events are stamped on this timeline so a
+    /// frozen manual clock freezes them too.
     pub clock: Arc<dyn Clock>,
-    /// Cache hits over the batch.
-    pub hits: u64,
-    /// Cache misses (fetched rows) over the batch.
-    pub misses: u64,
-    /// Coalesced misses over the batch.
-    pub coalesced: u64,
-    /// Fetch window start on the tracer clock.
-    pub fetch_begin_us: f64,
-    /// Fetch window end on the tracer clock.
-    pub fetch_end_us: f64,
-    /// Router events drained from the row source after the fetch.
-    pub events: Vec<FetchEvent>,
-    /// Shard-node server spans drained from the row source after the fetch.
-    pub node_spans: Vec<NodeSpanRecord>,
-}
-
-impl PoolTrace {
-    pub(crate) fn new(clock: Arc<dyn Clock>) -> Self {
-        Self {
-            clock,
-            hits: 0,
-            misses: 0,
-            coalesced: 0,
-            fetch_begin_us: 0.0,
-            fetch_end_us: 0.0,
-            events: Vec::new(),
-            node_spans: Vec::new(),
-        }
-    }
-}
-
-/// Measured marks of one traced batch, staged between `process_batch` and the
-/// path-specific finalization (which knows completion times).
-#[derive(Debug, Clone)]
-pub(crate) struct BatchScratch {
-    /// Pooling start on the tracer clock.
+    /// Pooling start.
     pub pool_begin_us: f64,
+    /// Fetch window start: the batch's first fetch (within pooling).
+    pub fetch_begin_us: Option<f64>,
+    /// Fetch window end: the batch's last fetch.
+    pub fetch_end_us: f64,
     /// Pooling end (cache + fetch + accumulate done).
     pub pool_end_us: f64,
     /// NNS filtering end.
     pub filter_end_us: f64,
     /// MLP ranking end.
     pub rank_end_us: f64,
-    /// Fetch window start (within pooling).
-    pub fetch_begin_us: f64,
-    /// Fetch window end.
-    pub fetch_end_us: f64,
-    /// Batch-wide cache hits.
-    pub hits: u64,
-    /// Batch-wide cache misses.
-    pub misses: u64,
-    /// Batch-wide coalesced misses.
-    pub coalesced: u64,
-    /// Router events recorded during the fetch, on the tracer clock.
+    /// Router events drained from the row source after each fetch.
     pub events: Vec<FetchEvent>,
-    /// Shard-node server spans that arrived with the fetch's replies.
+    /// Shard-node server spans drained from the row source after each fetch.
     pub node_spans: Vec<NodeSpanRecord>,
 }
 
-/// The per-engine tracer: sampling config, injected clock, staged batch marks, and the
-/// bounded log. Cloned with its engine (worker clones start their own logs).
+impl BatchTrace {
+    /// A trace whose pooling starts now on `clock`.
+    pub(crate) fn new(clock: Arc<dyn Clock>) -> Self {
+        Self {
+            pool_begin_us: clock.now_us(),
+            clock,
+            fetch_begin_us: None,
+            fetch_end_us: 0.0,
+            pool_end_us: 0.0,
+            filter_end_us: 0.0,
+            rank_end_us: 0.0,
+            events: Vec::new(),
+            node_spans: Vec::new(),
+        }
+    }
+
+    /// Open a fetch: the batch's first fetch starts the window, and `source`
+    /// records its events until [`BatchTrace::end_fetch`].
+    pub(crate) fn begin_fetch<T: Lane>(&mut self, source: &mut impl RowSource<T>) {
+        if self.fetch_begin_us.is_none() {
+            self.fetch_begin_us = Some(self.clock.now_us());
+        }
+        source.trace_arm(&self.clock);
+    }
+
+    /// Close a fetch: extend the window to now and take what `source` recorded.
+    pub(crate) fn end_fetch<T: Lane>(&mut self, source: &mut impl RowSource<T>) {
+        self.fetch_end_us = self.clock.now_us();
+        self.node_spans.extend(source.trace_drain_node_spans());
+        self.events.extend(source.trace_drain());
+    }
+}
+
+/// The per-engine tracer: sampling config, injected clock and the bounded log.
+/// Cloned with its engine (worker clones start their own logs).
 #[derive(Debug, Clone)]
 pub(crate) struct Tracer {
     config: TraceConfig,
     clock: Arc<dyn Clock>,
-    pending: Option<BatchScratch>,
     log: TraceLog,
 }
 
@@ -352,7 +348,6 @@ impl Tracer {
         Self {
             config,
             clock: Arc::new(WallClock::new()),
-            pending: None,
             log: TraceLog::new(config.capacity, config.slow_k),
         }
     }
@@ -377,15 +372,8 @@ impl Tracer {
         ids.any(|id| self.config.samples(id))
     }
 
-    /// Stage a finished batch's marks until the serving path finalizes them.
-    pub(crate) fn stash(&mut self, scratch: BatchScratch) {
-        self.pending = Some(scratch);
-    }
-
-    /// Reset the log and any staged batch (worker clones call this via
-    /// `reset_stats`).
+    /// Reset the log (worker clones call this via `reset_stats`).
     pub(crate) fn reset(&mut self) {
-        self.pending = None;
         self.log = TraceLog::new(self.config.capacity, self.config.slow_k);
     }
 
@@ -397,35 +385,37 @@ impl Tracer {
         )
     }
 
-    /// Finalize the staged batch into per-query traces and stage histograms.
+    /// Finalize a traced batch into per-query traces and stage histograms; a
+    /// record without a trace is left alone.
     ///
-    /// `queries` is `(id, start_us)` per request in the batch — arrival times on the
+    /// `starts_us` is each response's end-to-end start — arrival times on the
     /// simulated path, submission times on the threaded path. `virtual_start_us` is
     /// the simulated path's service start: when set, measured marks are shifted so
     /// pooling begins there (re-anchoring measured offsets onto the virtual
     /// timeline); the threaded path passes `None` and keeps marks as measured.
-    /// `end_us` is the batch's completion on the same timeline as `queries`.
+    /// `end_us` is the batch's completion on the same timeline as `starts_us`.
     pub(crate) fn finalize_batch(
         &mut self,
-        queries: &[(u64, f64)],
+        record: &mut BatchRecord,
+        starts_us: impl Iterator<Item = f64>,
         trigger_us: f64,
         virtual_start_us: Option<f64>,
         end_us: f64,
         stages: &mut StageBreakdown,
     ) {
-        let Some(mut scratch) = self.pending.take() else {
+        let Some(mut marks) = record.trace.take() else {
             return;
         };
-        normalize_tags(&mut scratch.events, &mut scratch.node_spans);
-        let shift = virtual_start_us.map_or(0.0, |start| start - scratch.pool_begin_us);
-        let pool_begin = scratch.pool_begin_us + shift;
-        let pool_end = scratch.pool_end_us + shift;
-        let filter_end = scratch.filter_end_us + shift;
-        let rank_end = scratch.rank_end_us + shift;
-        let fetch_begin = scratch.fetch_begin_us + shift;
-        let fetch_end = scratch.fetch_end_us + shift;
-        let fetch = assemble_fetch_spans(&scratch.events, &scratch.node_spans, shift, fetch_end);
-        let events: Vec<FetchEvent> = scratch
+        normalize_tags(&mut marks.events, &mut marks.node_spans);
+        let shift = virtual_start_us.map_or(0.0, |start| start - marks.pool_begin_us);
+        let pool_begin = marks.pool_begin_us + shift;
+        let pool_end = marks.pool_end_us + shift;
+        let filter_end = marks.filter_end_us + shift;
+        let rank_end = marks.rank_end_us + shift;
+        let fetch_begin = marks.fetch_begin_us.unwrap_or(marks.pool_begin_us) + shift;
+        let fetch_end = marks.fetch_end_us + shift;
+        let fetch = assemble_fetch_spans(&marks.events, &marks.node_spans, shift, fetch_end);
+        let events: Vec<FetchEvent> = marks
             .events
             .iter()
             .filter(|event| {
@@ -442,7 +432,9 @@ impl Tracer {
                 ..*event
             })
             .collect();
-        for &(id, start_us) in queries {
+        let cache = record.cache;
+        for (response, start_us) in record.responses.iter().zip(starts_us) {
+            let id = response.id;
             if !self.config.samples(id) {
                 continue;
             }
@@ -483,9 +475,9 @@ impl Tracer {
                 start_us,
                 end_us: end_us.max(start_us),
                 spans,
-                cache_hits: scratch.hits,
-                cache_misses: scratch.misses,
-                cache_coalesced: scratch.coalesced,
+                cache_hits: cache.hits,
+                cache_misses: cache.misses,
+                cache_coalesced: cache.coalesced,
                 fetch: fetch.clone(),
                 events: events.clone(),
             };
@@ -799,7 +791,9 @@ pub fn chrome_export<'a>(sections: impl IntoIterator<Item = (&'a str, &'a TraceL
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use crate::clock::ManualClock;
+    use crate::engine::ServeResponse;
 
     fn trace(id: u64, start_us: f64, end_us: f64) -> QueryTrace {
         QueryTrace {
@@ -937,18 +931,17 @@ mod tests {
             capacity: 8,
             slow_k: 2,
         });
-        tracer.set_clock(Arc::new(ManualClock::new()));
+        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+        tracer.set_clock(clock.clone());
         // Measured marks with a wall-clock-like origin of 1000us.
-        tracer.stash(BatchScratch {
+        let marks = BatchTrace {
+            clock,
             pool_begin_us: 1000.0,
             pool_end_us: 1030.0,
             filter_end_us: 1040.0,
             rank_end_us: 1055.0,
-            fetch_begin_us: 1010.0,
+            fetch_begin_us: Some(1010.0),
             fetch_end_us: 1025.0,
-            hits: 4,
-            misses: 2,
-            coalesced: 1,
             events: vec![
                 FetchEvent {
                     kind: FetchEventKind::Dispatch,
@@ -972,10 +965,33 @@ mod tests {
                     storage_read_us: 4.0,
                 },
             }],
-        });
+        };
+        let mut record = BatchRecord {
+            responses: vec![ServeResponse {
+                id: 7,
+                score: 0.5,
+                candidates: 3,
+                latency_us: 0.0,
+            }],
+            cache: CacheStats {
+                hits: 4,
+                misses: 2,
+                coalesced: 1,
+                ..CacheStats::default()
+            },
+            trace: Some(marks),
+            ..BatchRecord::default()
+        };
         let mut stages = StageBreakdown::default();
         // Virtual timeline: arrival 40, trigger 50, service start 60, completion 120.
-        tracer.finalize_batch(&[(7, 40.0)], 50.0, Some(60.0), 120.0, &mut stages);
+        tracer.finalize_batch(
+            &mut record,
+            [40.0].into_iter(),
+            50.0,
+            Some(60.0),
+            120.0,
+            &mut stages,
+        );
         let log = tracer.take_log();
         assert_eq!(log.len(), 1);
         let trace = &log.traces()[0];
